@@ -19,8 +19,6 @@
 #include "common/timer.h"
 #include "harness.h"
 #include "tensor/linalg.h"
-#include "tensor/linalg_f32.h"
-#include "tensor/matrix_f32.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -108,9 +106,9 @@ int Main() {
     // kernel, and the f32 lanes the float kernel family on the same
     // tables (checked against the f64 reference under the tier's
     // rounding budget). The auto-resolved level is restored afterwards.
-    const MatrixF32 a32 = MatrixF32::FromF64(a);
-    const MatrixF32 b32 = MatrixF32::FromF64(b);
-    const MatrixF32 bt32 = MatrixF32::FromF64(bt);
+    const MatrixF32 a32 = MatrixCast<float>(a);
+    const MatrixF32 b32 = MatrixCast<float>(b);
+    const MatrixF32 bt32 = MatrixCast<float>(bt);
     for (Isa isa : {Isa::kBaseline, Isa::kAvx2, Isa::kAvx512}) {
       if (isa > MaxSupportedIsa()) continue;
       // A SBRL_ISA env override outranks the forced choice; skip levels
@@ -133,16 +131,16 @@ int Main() {
       json.Record(std::string("matmul_trans_b_") + IsaName(isa) + "/" + tag,
                   tb_s);
       MatrixF32 f32_out;
-      const double f32_s = TimeOpF32([&] { return MatmulF32(a32, b32); },
+      const double f32_s = TimeOpF32([&] { return Matmul(a32, b32); },
                                      reps, &f32_out);
-      SBRL_CHECK(AllClose(ref_out, f32_out.ToF64(), 5e-3))
-          << IsaName(isa) << " MatmulF32 diverges at " << tag;
+      SBRL_CHECK(AllClose(ref_out, MatrixCast<double>(f32_out), 5e-3))
+          << IsaName(isa) << " f32 Matmul diverges at " << tag;
       json.Record(std::string("matmul_f32_") + IsaName(isa) + "/" + tag,
                   f32_s);
       const double tb32_s = TimeOpF32(
-          [&] { return MatmulTransBF32(a32, bt32); }, reps, &f32_out);
-      SBRL_CHECK(AllClose(ref_out, f32_out.ToF64(), 5e-3))
-          << IsaName(isa) << " MatmulTransBF32 diverges at " << tag;
+          [&] { return MatmulTransB(a32, bt32); }, reps, &f32_out);
+      SBRL_CHECK(AllClose(ref_out, MatrixCast<double>(f32_out), 5e-3))
+          << IsaName(isa) << " f32 MatmulTransB diverges at " << tag;
       json.Record(std::string("matmul_trans_b_f32_") + IsaName(isa) + "/" +
                       tag,
                   tb32_s);

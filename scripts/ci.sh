@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: builds the default and sanitized configurations and
 # runs the tier-1 suite (which includes the threads2, isa_baseline,
-# faults, serving, large_n, and precision variants), then the
+# faults, serving, large_n, and precision variants) and the
+# benchmark's build + self-test (perfbench/run.py --selftest), then the
 # sanitizer subset (now including the CSV/streaming loader suites)
 # plus the fault drills, serving format suite, and precision-tier
 # suite under asan/ubsan, and the ThreadSanitizer subset (which
@@ -39,6 +40,11 @@ ctest --test-dir "${PREFIX}" -L large_n --output-on-failure -j "${JOBS}"
 # threads2/isa_baseline variants, the serving bench's f32 lanes);
 # tier1-labeled, run explicitly as a labeling guard.
 ctest --test-dir "${PREFIX}" -L precision --output-on-failure -j "${JOBS}"
+# The repository benchmark (perfbench/) compiles against the library's
+# public headers in its own build tree; its self-test builds it and runs
+# its rule tests, so a refactor that breaks the benchmark's build fails
+# here rather than in the benchmark pipeline.
+python3 perfbench/run.py --selftest
 
 echo "=== sanitized configuration (address,undefined) ==="
 cmake -B "${PREFIX}-sanitize" -S . -DSBRL_SANITIZE=address,undefined

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <type_traits>
 #include <utility>
 
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "tensor/linalg.h"
 
@@ -71,12 +73,13 @@ Var UnaryOp(Var a, F f, DF df) {
   });
 }
 
-double StableSigmoid(double x) {
-  if (x >= 0.0) {
-    return 1.0 / (1.0 + std::exp(-x));
+template <typename T>
+T StableSigmoid(T x) {
+  if (x >= T(0)) {
+    return T(1) / (T(1) + std::exp(-x));
   }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
+  const T e = std::exp(x);
+  return e / (T(1) + e);
 }
 
 double StableSoftplus(double x) {
@@ -93,24 +96,31 @@ double StableSoftplus(double x) {
 /// for bit; relu / tanh / sigmoid are standard. The policies are
 /// dispatched ONCE per op call (DispatchAct), so the per-element loops
 /// inline the activation exactly like the reference UnaryOp lambdas.
+/// F is templated on the element type: the f32 serving tier evaluates
+/// the same formulas in float math (D is training-only, so f64-only).
 struct IdentityAct {
-  static double F(double x) { return x; }
+  template <typename T>
+  static T F(T x) { return x; }
   static double D(double) { return 1.0; }
 };
 struct EluAct {
-  static double F(double x) { return x > 0.0 ? x : std::expm1(x); }
+  template <typename T>
+  static T F(T x) { return x > T(0) ? x : std::expm1(x); }
   static double D(double y) { return y > 0.0 ? 1.0 : y + 1.0; }
 };
 struct ReluAct {
-  static double F(double x) { return x > 0.0 ? x : 0.0; }
+  template <typename T>
+  static T F(T x) { return x > T(0) ? x : T(0); }
   static double D(double y) { return y > 0.0 ? 1.0 : 0.0; }
 };
 struct TanhAct {
-  static double F(double x) { return std::tanh(x); }
+  template <typename T>
+  static T F(T x) { return std::tanh(x); }
   static double D(double y) { return 1.0 - y * y; }
 };
 struct SigmoidAct {
-  static double F(double x) { return StableSigmoid(x); }
+  template <typename T>
+  static T F(T x) { return StableSigmoid(x); }
   static double D(double y) { return y * (1.0 - y); }
 };
 
@@ -126,6 +136,25 @@ auto DispatchAct(ActKind act, Fn&& fn) {
   }
   SBRL_CHECK(false) << "unreachable";
   return fn(IdentityAct{});
+}
+
+/// Runs `pass(policy)` — a fused per-element sweep over `out` that
+/// ends in the activation — with the policy of `act`. The f32 ELU is
+/// the one type-selected step: the sweep runs with the identity policy
+/// and the ELU follows through the per-ISA vectorized exponential
+/// (EluF32InPlace, common/simd.h), since a scalar expm1f per element
+/// would dominate the f32 serving forward. The f64 tier keeps the
+/// scalar expm1 it shares with the training tape.
+template <typename T, typename Pass>
+void FusedActPass(ActKind act, T* out, int64_t size, Pass&& pass) {
+  if constexpr (std::is_same_v<T, float>) {
+    if (act == ActKind::kElu) {
+      pass(IdentityAct{});
+      EluF32InPlace(out, size);
+      return;
+    }
+  }
+  DispatchAct(act, pass);
 }
 
 /// Runs body(r0, r1) over the rows of an (rows x cols) matrix: serial
@@ -984,11 +1013,11 @@ void AffineBackwardFromDpre(Tape* t, int xi, int wi, int bi, Matrix&& dpre) {
 /// Broadcast-adds the (1 x m) row at `bd` to every row of the
 /// (n x m) buffer at `pd`, in place. Shared by the tape ops and the
 /// serving value kernels so both paths add the bias in the same order.
-void AddRowBroadcastInPlace(int64_t n, int64_t m, double* pd,
-                            const double* bd) {
+template <typename T>
+void AddRowBroadcastInPlace(int64_t n, int64_t m, T* pd, const T* bd) {
   RowwiseFor(n, m, [pd, bd, m](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      double* prow = pd + r * m;
+      T* prow = pd + r * m;
       for (int64_t c = 0; c < m; ++c) prow[c] += bd[c];
     }
   });
@@ -999,11 +1028,11 @@ void AddRowBroadcastInPlace(int64_t n, int64_t m, double* pd,
 /// THE fused-affine forward loop — AffineAct's tape node and
 /// AffineActValue both run it, which is what makes serving forwards
 /// bitwise identical to training-path inference forwards.
-template <typename Act>
-void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
+template <typename Act, typename T>
+void BiasActInPlace(int64_t n, int64_t m, T* od, const T* bd) {
   RowwiseFor(n, m, [od, bd, m](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
-      double* orow = od + r * m;
+      T* orow = od + r * m;
       for (int64_t c = 0; c < m; ++c) {
         orow[c] = Act::F(orow[c] + bd[c]);
       }
@@ -1017,15 +1046,14 @@ void BiasActInPlace(int64_t n, int64_t m, double* od, const double* bd) {
 /// activations are also stored there (the tape op keeps them for its
 /// backward); the serving value kernel passes nullptr. Shared for the
 /// same bitwise-parity reason as BiasActInPlace.
-template <typename Act>
-void BnInferActInPlace(int64_t n, int64_t m, double* od, double* hd,
-                       const double* md, const double* sd, const double* gd,
-                       const double* bd) {
+template <typename Act, typename T>
+void BnInferActInPlace(int64_t n, int64_t m, T* od, T* hd, const T* md,
+                       const T* sd, const T* gd, const T* bd) {
   RowwiseFor(n, m, [hd, od, md, sd, gd, bd, m](int64_t r0, int64_t r1) {
     for (int64_t r = r0; r < r1; ++r) {
       for (int64_t c = 0; c < m; ++c) {
         const int64_t i = r * m + c;
-        const double h = (od[i] + -1.0 * md[c]) * sd[c];
+        const T h = (od[i] + T(-1) * md[c]) * sd[c];
         if (hd != nullptr) hd[i] = h;
         od[i] = Act::F(h * gd[c] + bd[c]);
       }
@@ -1326,25 +1354,26 @@ Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
   });
 }
 
-Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
-                      ActKind act) {
+template <typename T>
+BasicMatrix<T> AffineActValue(const BasicMatrix<T>& x, const BasicMatrix<T>& w,
+                              const BasicMatrix<T>& b, ActKind act) {
   SBRL_CHECK_EQ(x.cols(), w.rows());
   SBRL_CHECK(b.rows() == 1 && b.cols() == w.cols());
   const int64_t n = x.rows(), m = w.cols();
-  Matrix out(n, m);
+  BasicMatrix<T> out(n, m);
   MatmulInto(x, w, &out);
-  DispatchAct(act, [&](auto policy) {
+  FusedActPass(act, out.data(), n * m, [&](auto policy) {
     BiasActInPlace<decltype(policy)>(n, m, out.data(), b.data());
   });
   return out;
 }
 
-Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
-                                    const Matrix& b, const Matrix& gamma,
-                                    const Matrix& beta,
-                                    const Matrix& running_mean,
-                                    const Matrix& running_var, double eps,
-                                    ActKind act) {
+template <typename T>
+BasicMatrix<T> AffineBatchNormInferActValue(
+    const BasicMatrix<T>& x, const BasicMatrix<T>& w, const BasicMatrix<T>& b,
+    const BasicMatrix<T>& gamma, const BasicMatrix<T>& beta,
+    const BasicMatrix<T>& running_mean, const BasicMatrix<T>& running_var,
+    double eps, ActKind act) {
   SBRL_CHECK_EQ(x.cols(), w.rows());
   SBRL_CHECK(b.rows() == 1 && b.cols() == w.cols());
   SBRL_CHECK(gamma.rows() == 1 && gamma.cols() == w.cols());
@@ -1352,44 +1381,65 @@ Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
   SBRL_CHECK(running_mean.rows() == 1 && running_mean.cols() == w.cols());
   SBRL_CHECK(running_var.same_shape(running_mean));
   const int64_t n = x.rows(), m = w.cols();
-  Matrix pre(n, m);
+  BasicMatrix<T> pre(n, m);
   MatmulInto(x, w, &pre);
   AddRowBroadcastInPlace(n, m, pre.data(), b.data());
-  Matrix inv_std(1, m);
+  BasicMatrix<T> inv_std(1, m);
+  const T epst = static_cast<T>(eps);
   for (int64_t c = 0; c < m; ++c) {
-    inv_std(0, c) = 1.0 / std::sqrt(running_var(0, c) + eps);
+    inv_std(0, c) = T(1) / std::sqrt(running_var(0, c) + epst);
   }
-  DispatchAct(act, [&](auto policy) {
-    BnInferActInPlace<decltype(policy)>(n, m, pre.data(), /*hd=*/nullptr,
-                                        running_mean.data(), inv_std.data(),
-                                        gamma.data(), beta.data());
+  FusedActPass(act, pre.data(), n * m, [&](auto policy) {
+    BnInferActInPlace<decltype(policy)>(
+        n, m, pre.data(), /*hd=*/static_cast<T*>(nullptr),
+        running_mean.data(), inv_std.data(), gamma.data(), beta.data());
   });
   return pre;
 }
 
-Matrix NormalizeRowsValue(const Matrix& a, double eps) {
-  Matrix out(a.rows(), a.cols());
+template <typename T>
+BasicMatrix<T> NormalizeRowsValue(const BasicMatrix<T>& a, double eps) {
+  BasicMatrix<T> out(a.rows(), a.cols());
+  const T epst = static_cast<T>(eps);
   for (int64_t r = 0; r < a.rows(); ++r) {
     // Ascending-column accumulation of the squared row, matching
     // Square -> RowSum exactly; then the same sqrt/reciprocal chain.
-    double acc = 0.0;
+    T acc = T(0);
     for (int64_t c = 0; c < a.cols(); ++c) acc += a(r, c) * a(r, c);
-    const double inv = 1.0 / std::sqrt(acc + eps);
+    const T inv = T(1) / std::sqrt(acc + epst);
     for (int64_t c = 0; c < a.cols(); ++c) out(r, c) = a(r, c) * inv;
   }
   return out;
 }
 
-Matrix ConcatColsValue(const Matrix& a, const Matrix& b) {
+template <typename T>
+BasicMatrix<T> ConcatColsValue(const BasicMatrix<T>& a,
+                               const BasicMatrix<T>& b) {
   SBRL_CHECK_EQ(a.rows(), b.rows());
   const int64_t ac = a.cols(), bc = b.cols();
-  Matrix out(a.rows(), ac + bc);
+  BasicMatrix<T> out(a.rows(), ac + bc);
   for (int64_t r = 0; r < a.rows(); ++r) {
     for (int64_t c = 0; c < ac; ++c) out(r, c) = a(r, c);
     for (int64_t c = 0; c < bc; ++c) out(r, ac + c) = b(r, c);
   }
   return out;
 }
+
+// The value kernels for both precision tiers (autodiff/ops.h).
+#define SBRL_INSTANTIATE_VALUE_KERNELS(T)                                   \
+  template BasicMatrix<T> AffineActValue(                                   \
+      const BasicMatrix<T>&, const BasicMatrix<T>&, const BasicMatrix<T>&,  \
+      ActKind);                                                             \
+  template BasicMatrix<T> AffineBatchNormInferActValue(                     \
+      const BasicMatrix<T>&, const BasicMatrix<T>&, const BasicMatrix<T>&,  \
+      const BasicMatrix<T>&, const BasicMatrix<T>&, const BasicMatrix<T>&,  \
+      const BasicMatrix<T>&, double, ActKind);                              \
+  template BasicMatrix<T> NormalizeRowsValue(const BasicMatrix<T>&, double); \
+  template BasicMatrix<T> ConcatColsValue(const BasicMatrix<T>&,            \
+                                          const BasicMatrix<T>&);
+SBRL_INSTANTIATE_VALUE_KERNELS(double)
+SBRL_INSTANTIATE_VALUE_KERNELS(float)
+#undef SBRL_INSTANTIATE_VALUE_KERNELS
 
 Var MatmulTransACols(Var a, int64_t a_start, int64_t a_cols, Var b,
                      int64_t b_start, int64_t b_cols) {

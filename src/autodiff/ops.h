@@ -176,33 +176,46 @@ Var AffineBatchNormInferAct(Var x, Var w, Var b, Var gamma, Var beta,
 // — by sharing the fused ops' forward helpers, so a serving forward is
 // bitwise identical to the in-process inference forward while
 // allocating no tape nodes and recording no backward closures.
+//
+// The kernels are type-generic, instantiated for Matrix and MatrixF32
+// (autodiff/ops.cc). The f32 instantiation evaluates the same formulas
+// in float math, so the f32 serving forward is deterministic per ISA
+// level and tracks the f64 one to the budgets in
+// tests/precision_test.cc; its only type-selected step is the ELU,
+// which runs as a vectorized sweep (EluF32InPlace, common/simd.h).
+// Training never calls the f32 instantiation.
 // ---------------------------------------------------------------------------
 
-/// Value-only AffineAct: act(x W + broadcast b). Bitwise identical to
-/// AffineAct(...)'s forward output.
-Matrix AffineActValue(const Matrix& x, const Matrix& w, const Matrix& b,
-                      ActKind act);
+/// Value-only AffineAct: act(x W + broadcast b). For Matrix, bitwise
+/// identical to AffineAct(...)'s forward output.
+template <typename T>
+BasicMatrix<T> AffineActValue(const BasicMatrix<T>& x, const BasicMatrix<T>& w,
+                              const BasicMatrix<T>& b, ActKind act);
 
 /// Value-only AffineBatchNormInferAct:
 /// act(gamma .* (x W + b - mean) / sqrt(var + eps) + beta) with frozen
-/// running statistics. Bitwise identical to the tape op's forward.
-Matrix AffineBatchNormInferActValue(const Matrix& x, const Matrix& w,
-                                    const Matrix& b, const Matrix& gamma,
-                                    const Matrix& beta,
-                                    const Matrix& running_mean,
-                                    const Matrix& running_var, double eps,
-                                    ActKind act);
+/// running statistics. For Matrix, bitwise identical to the tape op's
+/// forward.
+template <typename T>
+BasicMatrix<T> AffineBatchNormInferActValue(
+    const BasicMatrix<T>& x, const BasicMatrix<T>& w, const BasicMatrix<T>& b,
+    const BasicMatrix<T>& gamma, const BasicMatrix<T>& beta,
+    const BasicMatrix<T>& running_mean, const BasicMatrix<T>& running_var,
+    double eps, ActKind act);
 
 /// Value-only NormalizeRows: each row scaled by
 /// 1 / sqrt(sum_c a(r,c)^2 + eps), with the row sum accumulated in
-/// ascending column order — bitwise identical to the NormalizeRows
-/// op composition (Square -> RowSum -> AddConst -> Sqrt -> Reciprocal
-/// -> MulCol).
-Matrix NormalizeRowsValue(const Matrix& a, double eps = 1e-9);
+/// ascending column order — for Matrix, bitwise identical to the
+/// NormalizeRows op composition (Square -> RowSum -> AddConst -> Sqrt
+/// -> Reciprocal -> MulCol).
+template <typename T>
+BasicMatrix<T> NormalizeRowsValue(const BasicMatrix<T>& a, double eps = 1e-9);
 
 /// Value-only ConcatCols: [a | b] row-wise. Bitwise identical to the
 /// ConcatCols op's forward output.
-Matrix ConcatColsValue(const Matrix& a, const Matrix& b);
+template <typename T>
+BasicMatrix<T> ConcatColsValue(const BasicMatrix<T>& a,
+                               const BasicMatrix<T>& b);
 
 /// a^T * b where a is (p x q) and b is (p x r) -> (q x r), without
 /// materializing a^T. Numerically identical to

@@ -34,20 +34,6 @@ void AppendString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-void AppendMatrix(std::string* out, const Matrix& m) {
-  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.rows()));
-  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.cols()));
-  out->append(reinterpret_cast<const char*>(m.data()),
-              static_cast<size_t>(m.size()) * sizeof(double));
-}
-
-void AppendMatrixF32(std::string* out, const MatrixF32& m) {
-  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.rows()));
-  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.cols()));
-  out->append(reinterpret_cast<const char*>(m.data()),
-              static_cast<size_t>(m.size()) * sizeof(float));
-}
-
 void AppendDoubleVector(std::string* out, const std::vector<double>& v) {
   AppendScalar<uint64_t>(out, v.size());
   out->append(reinterpret_cast<const char*>(v.data()),
@@ -59,32 +45,6 @@ bool ByteReader::ReadString(std::string* out) {
   if (!ReadScalar(&size) || size_ - pos_ < size) return false;
   out->assign(data_ + pos_, size);
   pos_ += size;
-  return true;
-}
-
-bool ByteReader::ReadMatrix(Matrix* out) {
-  uint64_t rows = 0, cols = 0;
-  if (!ReadScalar(&rows) || !ReadScalar(&cols)) return false;
-  // Guard the size multiplication against overflow from corrupted
-  // shapes: no legitimate serialized tensor approaches 2^30 per dim.
-  if (rows > (1ull << 30) || cols > (1ull << 30)) return false;
-  const uint64_t bytes = rows * cols * sizeof(double);
-  if (size_ - pos_ < bytes) return false;
-  *out = Matrix(static_cast<int64_t>(rows), static_cast<int64_t>(cols));
-  std::memcpy(out->data(), data_ + pos_, bytes);
-  pos_ += bytes;
-  return true;
-}
-
-bool ByteReader::ReadMatrixF32(MatrixF32* out) {
-  uint64_t rows = 0, cols = 0;
-  if (!ReadScalar(&rows) || !ReadScalar(&cols)) return false;
-  if (rows > (1ull << 30) || cols > (1ull << 30)) return false;
-  const uint64_t bytes = rows * cols * sizeof(float);
-  if (size_ - pos_ < bytes) return false;
-  *out = MatrixF32(static_cast<int64_t>(rows), static_cast<int64_t>(cols));
-  std::memcpy(out->data(), data_ + pos_, bytes);
-  pos_ += bytes;
   return true;
 }
 

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "tensor/matrix.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 namespace serial {
@@ -20,7 +19,8 @@ namespace serial {
 // share one byte discipline: an 8-byte magic, a u32 format version, a
 // u32 section count, then sections of (u32 tag, u64 payload_size,
 // payload, u32 crc32(payload)). Fixed-width little-endian scalars,
-// length-prefixed strings, shape-prefixed raw f64 matrices; encoding
+// length-prefixed strings, shape-prefixed raw f64 / f32 matrices
+// (the element width is the caller's, fixed per section); encoding
 // goes through memcpy so the bytes are stable regardless of alignment.
 // Files are only portable between same-endian hosts, which the CRC and
 // shape checks turn into a load error rather than silent garbage.
@@ -41,12 +41,16 @@ void AppendScalar(std::string* out, T v) {
 /// Appends a u64 length prefix followed by the raw bytes of `s`.
 void AppendString(std::string* out, const std::string& s);
 
-/// Appends u64 rows, u64 cols, then the row-major f64 payload of `m`.
-void AppendMatrix(std::string* out, const Matrix& m);
-
-/// Appends u64 rows, u64 cols, then the row-major f32 payload of `m`
-/// (the serving model's optional f32 weights section).
-void AppendMatrixF32(std::string* out, const MatrixF32& m);
+/// Appends u64 rows, u64 cols, then the row-major raw payload of `m`
+/// (f64 for Matrix; f32 for MatrixF32, e.g. the serving model's
+/// optional f32 weights section).
+template <typename T>
+void AppendMatrix(std::string* out, const BasicMatrix<T>& m) {
+  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.rows()));
+  AppendScalar<uint64_t>(out, static_cast<uint64_t>(m.cols()));
+  out->append(reinterpret_cast<const char*>(m.data()),
+              static_cast<size_t>(m.size()) * sizeof(T));
+}
 
 /// Appends a u64 element count followed by the raw f64 payload of `v`.
 void AppendDoubleVector(std::string* out, const std::vector<double>& v);
@@ -73,13 +77,24 @@ class ByteReader {
   /// Reads a u64-length-prefixed string written by AppendString.
   bool ReadString(std::string* out);
 
-  /// Reads a shape-prefixed matrix written by AppendMatrix. Rejects
-  /// shapes beyond 2^30 per dimension (corrupted-size overflow guard).
-  bool ReadMatrix(Matrix* out);
-
-  /// Reads a shape-prefixed f32 matrix written by AppendMatrixF32,
-  /// with the same 2^30-per-dimension overflow guard.
-  bool ReadMatrixF32(MatrixF32* out);
+  /// Reads a shape-prefixed matrix written by AppendMatrix with the
+  /// same element type. Rejects shapes beyond 2^30 per dimension
+  /// (corrupted-size overflow guard).
+  template <typename T>
+  bool ReadMatrix(BasicMatrix<T>* out) {
+    uint64_t rows = 0, cols = 0;
+    if (!ReadScalar(&rows) || !ReadScalar(&cols)) return false;
+    // Guard the size multiplication against overflow from corrupted
+    // shapes: no legitimate serialized tensor approaches 2^30 per dim.
+    if (rows > (1ull << 30) || cols > (1ull << 30)) return false;
+    const uint64_t bytes = rows * cols * sizeof(T);
+    if (size_ - pos_ < bytes) return false;
+    *out = BasicMatrix<T>(static_cast<int64_t>(rows),
+                          static_cast<int64_t>(cols));
+    std::memcpy(out->data(), data_ + pos_, bytes);
+    pos_ += bytes;
+    return true;
+  }
 
   /// Reads a count-prefixed f64 vector written by AppendDoubleVector.
   bool ReadDoubleVector(std::vector<double>* out);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "stats/ipm.h"
@@ -161,8 +162,17 @@ Matrix OodLevelDetector::Augment(const Matrix& x) const {
 double OodLevelDetector::DistanceTo(const Matrix& target) const {
   SBRL_CHECK_EQ(target.cols(), source_.cols());
   SBRL_CHECK_GT(target.rows(), 0);
+  const Matrix augmented = Augment(target);
+  // A non-finite feature is maximally OOD, never averaged away: NaN
+  // would vanish through std::max inside the sliced metric (and NaN
+  // keys are not a valid ordering for its sorts).
+  for (int64_t i = 0; i < augmented.size(); ++i) {
+    if (!std::isfinite(augmented[i])) {
+      return std::numeric_limits<double>::infinity();
+    }
+  }
   Rng proj_rng(options_.seed + 999);
-  return MaxSlicedWasserstein1(source_augmented_, Augment(target),
+  return MaxSlicedWasserstein1(source_augmented_, augmented,
                                options_.projections, proj_rng);
 }
 

@@ -84,10 +84,14 @@ class OodLevelDetector {
   /// stored options seed.
   static StatusOr<OodLevelDetector> FromState(const State& state);
 
-  /// Raw max-sliced-Wasserstein distance from `target` to the source.
+  /// Raw max-sliced-Wasserstein distance from `target` to the source;
+  /// +inf when the augmented target holds a NaN or +-Inf (checked
+  /// before any projection or sort), so a corrupted request is never
+  /// certified in-distribution.
   double DistanceTo(const Matrix& target) const;
 
-  /// OOD level in [0, 1] (see class comment).
+  /// OOD level in [0, 1] (see class comment); exactly 1.0 for a
+  /// non-finite target (DistanceTo is +inf).
   double LevelOf(const Matrix& target) const;
 
   /// 95th percentile of the calibrated null distances.

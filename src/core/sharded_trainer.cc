@@ -30,6 +30,24 @@ Var ShardFactualLosses(Var y0, Var y1, const std::vector<int>& t,
   return ops::Square(ops::Sub(pred, target));
 }
 
+/// The f64 block a shard leaf trains or scores on: an f64 wave block
+/// as is; an f32-staged one (the opt-in tier) widened into the lane's
+/// scratch `stage` — storage reused across waves — just in time for
+/// the f64 tape, so the fit consumes float-rounded covariates while
+/// the wave itself stays f32.
+const CausalDataset& AsF64Block(const CausalDataset& block,
+                                CausalDataset* /*stage*/) {
+  return block;
+}
+const CausalDataset& AsF64Block(const CausalBlockF32& block,
+                                CausalDataset* stage) {
+  stage->x.ResetCopyOf(block.x);
+  stage->t = block.t;
+  stage->y.ResetCopyOf(block.y);
+  stage->binary_outcome = block.binary_outcome;
+  return *stage;
+}
+
 }  // namespace
 
 /// Everything one shard contributes to the pass: counts, loss and
@@ -110,13 +128,20 @@ ShardedTrainer::ShardStats ShardedTrainer::ComputeShard(
   return stats;
 }
 
+void ShardedTrainer::PrepareLanes(int64_t workers) {
+  while (static_cast<int64_t>(slot_pools_.size()) < workers) {
+    slot_pools_.push_back(std::make_unique<MatrixPool>());
+  }
+  if (static_cast<int64_t>(slot_stage_.size()) < workers) {
+    slot_stage_.resize(static_cast<size_t>(workers));
+  }
+}
+
 Status ShardedTrainer::Train(DatasetBlockReader& reader,
                              ShardedTrainDiagnostics* diag) {
   SBRL_CHECK_EQ(reader.dim(), input_dim_);
   const ShardedOptions opts = ResolveShardedOptions(config_.sharding);
-  while (static_cast<int64_t>(slot_pools_.size()) < opts.workers) {
-    slot_pools_.push_back(std::make_unique<MatrixPool>());
-  }
+  PrepareLanes(opts.workers);
 
   std::vector<Param*> decay_params = backbone_->DecayParams();
   std::vector<Param*> plain_params;
@@ -140,26 +165,11 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
   diag->precision = opts.precision;
 
   const auto leaf = [this](int64_t /*shard*/, int64_t slot,
-                           const CausalDataset& block) {
-    return ComputeShard(block,
-                        slot_pools_[static_cast<size_t>(slot)].get());
+                           const auto& block) {
+    const size_t lane = static_cast<size_t>(slot);
+    return ComputeShard(AsF64Block(block, &slot_stage_[lane]),
+                        slot_pools_[lane].get());
   };
-  // f32 block-staging leaf: widen this lane's shard into its scratch
-  // just in time for the f64 tape — the wave itself stays f32, so the
-  // fit consumes float-rounded covariates (the opt-in tier).
-  const auto leaf32 = [this](int64_t /*shard*/, int64_t slot,
-                             const CausalBlockF32& block) {
-    CausalDataset& stage = slot_stage_[static_cast<size_t>(slot)];
-    block.x.WidenInto(&stage.x);
-    stage.t = block.t;
-    stage.y.ResetCopyOf(block.y);
-    stage.binary_outcome = block.binary_outcome;
-    return ComputeShard(stage,
-                        slot_pools_[static_cast<size_t>(slot)].get());
-  };
-  if (opts.precision == Precision::kF32) {
-    slot_stage_.resize(static_cast<size_t>(opts.workers));
-  }
   const auto combine = [](ShardStats a, ShardStats b) {
     a.rows += b.rows;
     a.loss_sum += b.loss_sum;
@@ -178,11 +188,8 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
     int64_t shards = 0;
     SBRL_ASSIGN_OR_RETURN(
         ShardStats total,
-        opts.precision == Precision::kF32
-            ? ShardedReduceF32<ShardStats>(reader, opts, leaf32, combine,
-                                           &rows, &shards)
-            : ShardedReduce<ShardStats>(reader, opts, leaf, combine, &rows,
-                                        &shards));
+        ShardedReduceAtPrecision<ShardStats>(reader, opts, leaf, combine,
+                                             &rows, &shards));
     const double inv_n = 1.0 / static_cast<double>(rows);
     for (size_t i = 0; i < params_.size(); ++i) {
       total.grads[i] *= inv_n;
@@ -225,9 +232,7 @@ Status ShardedTrainer::Train(DatasetBlockReader& reader,
 StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
   SBRL_CHECK_EQ(reader.dim(), input_dim_);
   const ShardedOptions opts = ResolveShardedOptions(config_.sharding);
-  while (static_cast<int64_t>(slot_pools_.size()) < opts.workers) {
-    slot_pools_.push_back(std::make_unique<MatrixPool>());
-  }
+  PrepareLanes(opts.workers);
   SBRL_RETURN_IF_ERROR(reader.Reset());
   struct IteSum {
     int64_t rows = 0;
@@ -238,36 +243,15 @@ StatusOr<double> ShardedTrainer::EstimateAte(DatasetBlockReader& reader) {
     a.sum += b.sum;
     return a;
   };
-  if (opts.precision == Precision::kF32) {
-    slot_stage_.resize(static_cast<size_t>(opts.workers));
-    SBRL_ASSIGN_OR_RETURN(
-        const IteSum total,
-        ShardedReduceF32<IteSum>(
-            reader, opts,
-            [this](int64_t /*shard*/, int64_t slot,
-                   const CausalBlockF32& block) {
-              // Only the covariates are needed: widen them into this
-              // lane's scratch matrix and score from there.
-              Matrix& xs = slot_stage_[static_cast<size_t>(slot)].x;
-              block.x.WidenInto(&xs);
-              const Matrix ite = PredictIteWithPool(
-                  xs, slot_pools_[static_cast<size_t>(slot)].get());
-              IteSum s;
-              s.rows = block.n();
-              for (int64_t i = 0; i < ite.rows(); ++i) s.sum += ite(i, 0);
-              return s;
-            },
-            combine));
-    return total.sum / static_cast<double>(total.rows);
-  }
   SBRL_ASSIGN_OR_RETURN(
       const IteSum total,
-      ShardedReduce<IteSum>(
+      ShardedReduceAtPrecision<IteSum>(
           reader, opts,
-          [this](int64_t /*shard*/, int64_t slot,
-                 const CausalDataset& block) {
+          [this](int64_t /*shard*/, int64_t slot, const auto& block) {
+            const size_t lane = static_cast<size_t>(slot);
             const Matrix ite = PredictIteWithPool(
-                block.x, slot_pools_[static_cast<size_t>(slot)].get());
+                AsF64Block(block, &slot_stage_[lane]).x,
+                slot_pools_[lane].get());
             IteSum s;
             s.rows = block.n();
             for (int64_t i = 0; i < ite.rows(); ++i) s.sum += ite(i, 0);

@@ -144,6 +144,10 @@ class ShardedTrainer {
   /// loss/arm sums and per-param gradient sums aligned to `params_`.
   ShardStats ComputeShard(const CausalDataset& block, MatrixPool* pool);
 
+  /// Grows the lane-scoped scratch (pools, widen stages) to `workers`
+  /// lanes; existing lanes keep their recycled storage.
+  void PrepareLanes(int64_t workers);
+
   /// PredictIte recording on `pool` (nullable) — the shard-scoped
   /// scoring primitive behind EstimateAte.
   Matrix PredictIteWithPool(const Matrix& x, MatrixPool* pool);

@@ -11,7 +11,6 @@
 #include "common/statusor.h"
 #include "data/causal_dataset.h"
 #include "data/synthetic.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 
@@ -70,16 +69,22 @@ struct CausalBlockF32 {
   int64_t dim() const { return x.cols(); }
 };
 
-/// The f32 block-staging pull of a reader: NextBlock into `*stage` (a
+/// Pulls the next at-most-`max_rows` rows of `reader` into a wave slot
+/// of either block type and returns how many were produced (0 means
+/// end of stream) or the stream error. A CausalDataset slot is filled
+/// by reader.NextBlock directly and `stage` is unused. A CausalBlockF32
+/// slot is the f32 block-staging pull: NextBlock into `*stage` (a
 /// caller-owned f64 scratch block whose storage is reused across
-/// pulls), then narrows the covariates into `block->x` in place
-/// (MatrixF32::ResetNarrowOf) and copies the exact columns over —
-/// steady state allocates nothing. Returns the rows produced (0 means
-/// end of stream) or the stream error. The staged stream is a pure
+/// pulls), then the covariates are narrowed into `block->x` in place
+/// (BasicMatrix::ResetCopyOf) and the exact columns copied over —
+/// steady state allocates nothing. The staged stream is a pure
 /// function of the underlying reader's stream: the same rows, with
 /// each covariate rounded once to float.
-StatusOr<int64_t> NextBlockF32(DatasetBlockReader& reader, int64_t max_rows,
-                               CausalDataset* stage, CausalBlockF32* block);
+StatusOr<int64_t> PullBlock(DatasetBlockReader& reader, int64_t max_rows,
+                            CausalDataset* stage, CausalBlockF32* block);
+/// See the CausalBlockF32 overload.
+StatusOr<int64_t> PullBlock(DatasetBlockReader& reader, int64_t max_rows,
+                            CausalDataset* stage, CausalDataset* block);
 
 /// Streams a CSV written by `SaveCausalDatasetCsv` (or matching its
 /// layout) in row blocks, holding one block plus one line in memory at

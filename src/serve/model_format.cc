@@ -88,51 +88,28 @@ bool DecodeMeta(ByteReader* reader, ServingMeta* meta) {
   return true;
 }
 
-std::string EncodeNamedMatrices(const std::vector<NamedMatrix>& items) {
+template <typename T>
+std::string EncodeNamedMatrices(
+    const std::vector<BasicNamedMatrix<T>>& items) {
   std::string out;
   AppendScalar<uint64_t>(&out, items.size());
-  for (const NamedMatrix& item : items) {
+  for (const BasicNamedMatrix<T>& item : items) {
     AppendString(&out, item.name);
     AppendMatrix(&out, item.value);
   }
   return out;
 }
 
-bool DecodeNamedMatrices(ByteReader* reader, std::vector<NamedMatrix>* out) {
+template <typename T>
+bool DecodeNamedMatrices(ByteReader* reader,
+                         std::vector<BasicNamedMatrix<T>>* out) {
   uint64_t count = 0;
   if (!reader->ReadScalar(&count)) return false;
   out->clear();
   out->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    NamedMatrix item;
+    BasicNamedMatrix<T> item;
     if (!reader->ReadString(&item.name) || !reader->ReadMatrix(&item.value)) {
-      return false;
-    }
-    out->push_back(std::move(item));
-  }
-  return reader->exhausted();
-}
-
-std::string EncodeNamedMatricesF32(const std::vector<NamedMatrixF32>& items) {
-  std::string out;
-  AppendScalar<uint64_t>(&out, items.size());
-  for (const NamedMatrixF32& item : items) {
-    AppendString(&out, item.name);
-    serial::AppendMatrixF32(&out, item.value);
-  }
-  return out;
-}
-
-bool DecodeNamedMatricesF32(ByteReader* reader,
-                            std::vector<NamedMatrixF32>* out) {
-  uint64_t count = 0;
-  if (!reader->ReadScalar(&count)) return false;
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    NamedMatrixF32 item;
-    if (!reader->ReadString(&item.name) ||
-        !reader->ReadMatrixF32(&item.value)) {
       return false;
     }
     out->push_back(std::move(item));
@@ -195,7 +172,7 @@ Status SaveServingModel(const ServingModelData& data,
   }
   if (data.has_f32) {
     sections.push_back(
-        {kSectionWeightsF32, EncodeNamedMatricesF32(data.weights_f32)});
+        {kSectionWeightsF32, EncodeNamedMatrices(data.weights_f32)});
   }
   return serial::WriteSectionedFile(kServingFormat, sections, path);
 }
@@ -226,7 +203,7 @@ StatusOr<ServingModelData> LoadServingModel(const std::string& path) {
         data.has_ood = decoded;
         break;
       case kSectionWeightsF32:
-        decoded = DecodeNamedMatricesF32(&reader, &data.weights_f32);
+        decoded = DecodeNamedMatrices(&reader, &data.weights_f32);
         data.has_f32 = decoded;
         break;
       default:
@@ -286,7 +263,7 @@ StatusOr<ServingModelData> ExportServingData(
     data.has_f32 = true;
     data.weights_f32.reserve(data.weights.size());
     for (const NamedMatrix& item : data.weights) {
-      data.weights_f32.push_back({item.name, MatrixF32::FromF64(item.value)});
+      data.weights_f32.push_back({item.name, MatrixCast<float>(item.value)});
     }
   }
   return data;

@@ -11,7 +11,6 @@
 #include "core/estimator.h"
 #include "core/ood_detector.h"
 #include "tensor/matrix.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 namespace serve {
@@ -48,22 +47,19 @@ struct ServingMeta {
 
 /// One named tensor of the exported model (a trainable parameter or a
 /// BatchNorm running statistic), keyed by the module naming scheme
-/// ("rep.l0.W", "heads.h1.bn2.running_var", ...).
-struct NamedMatrix {
+/// ("rep.l0.W", "heads.h1.bn2.running_var", ...). T is the storage
+/// width of the section it belongs to (float for the optional f32
+/// weights section, see ServingModelData::weights_f32).
+template <typename T>
+struct BasicNamedMatrix {
   /// Unique module-scoped tensor name.
   std::string name;
   /// The tensor value.
-  Matrix value;
+  BasicMatrix<T> value;
 };
 
-/// f32 counterpart of NamedMatrix, used by the optional f32 weights
-/// section (see ServingModelData::weights_f32).
-struct NamedMatrixF32 {
-  /// Unique module-scoped tensor name.
-  std::string name;
-  /// The tensor value in f32 storage.
-  MatrixF32 value;
-};
+/// A named f64 tensor (the weights and state sections).
+using NamedMatrix = BasicNamedMatrix<double>;
 
 /// In-memory image of one serving model file: the decoded sections of
 /// the "SBRLMODL" format, still architecture-agnostic (ServingModel
@@ -86,7 +82,7 @@ struct ServingModelData {
   bool has_f32 = false;
   /// Trainable parameters narrowed to f32, in collection order
   /// (meaningful only when has_f32).
-  std::vector<NamedMatrixF32> weights_f32;
+  std::vector<BasicNamedMatrix<float>> weights_f32;
 };
 
 /// The on-disk format version SaveServingModel writes. Bump on any

@@ -10,7 +10,6 @@
 #include "core/ood_detector.h"
 #include "serve/model_format.h"
 #include "tensor/matrix.h"
-#include "tensor/matrix_f32.h"
 
 namespace sbrl {
 namespace serve {
@@ -79,20 +78,16 @@ class ServingModel {
   /// Under the default f64 precision tier, bitwise identical to the
   /// exporting estimator's PredictPotentialOutcomes on the same rows,
   /// for any batching of the rows. Under Precision::kF32 (the
-  /// SBRL_PRECISION=f32 knob, resolved once at load) this routes to
-  /// ScoreOutcomesF32. Thread-safe without synchronization.
+  /// SBRL_PRECISION=f32 knob, resolved once at load) the same forward
+  /// runs in f32 storage and arithmetic over weights taken from the
+  /// exported f32 section when present and narrowed from the f64
+  /// tensors otherwise; only the final sigmoid / de-standardization
+  /// runs in f64 on the widened head outputs. The f32 tier agrees with
+  /// the f64 scorer to the per-method budgets in
+  /// tests/precision_test.cc, never bitwise, and is deterministic per
+  /// ISA level and batching-invariant like the f64 tier. Thread-safe
+  /// without synchronization.
   Matrix ScoreOutcomes(const Matrix& x) const;
-
-  /// f32-tier scoring: the forward runs entirely in f32 storage and
-  /// arithmetic (LinalgKernelsF32 matmuls, float activations) over
-  /// weights taken from the exported f32 section when present and
-  /// narrowed from the f64 tensors otherwise; only the final
-  /// sigmoid/de-standardization runs in f64 on the widened head
-  /// outputs, shared with the f64 path. Agrees with the f64 scorer to
-  /// the per-method budgets in tests/precision_test.cc, never bitwise.
-  /// Deterministic per ISA level and batching-invariant like the f64
-  /// path. Thread-safe without synchronization.
-  Matrix ScoreOutcomesF32(const Matrix& x) const;
 
   /// The precision tier ScoreOutcomes routes through (resolved from
   /// SBRL_PRECISION once at construction; default f64).
@@ -137,63 +132,53 @@ class ServingModel {
   const ServingMeta& meta() const { return meta_; }
 
  private:
-  /// One affine (+ optional frozen BatchNorm) + activation layer.
+  /// One affine (+ optional frozen BatchNorm) + activation layer, at
+  /// storage width T.
+  template <typename T>
   struct Layer {
-    Matrix w;  ///< (in x out) weight
-    Matrix b;  ///< (1 x out) bias
-    bool has_bn = false;  ///< BatchNorm folded into this layer
-    Matrix gamma;         ///< (1 x out) BN scale
-    Matrix beta;          ///< (1 x out) BN shift
-    Matrix running_mean;  ///< (1 x out) frozen BN mean
-    Matrix running_var;   ///< (1 x out) frozen BN variance
+    BasicMatrix<T> w;  ///< (in x out) weight
+    BasicMatrix<T> b;  ///< (1 x out) bias
+    bool has_bn = false;          ///< BatchNorm folded into this layer
+    BasicMatrix<T> gamma;         ///< (1 x out) BN scale
+    BasicMatrix<T> beta;          ///< (1 x out) BN shift
+    BasicMatrix<T> running_mean;  ///< (1 x out) frozen BN mean
+    BasicMatrix<T> running_var;   ///< (1 x out) frozen BN variance
   };
   /// An MLP as a sequence of layers (empty for a degenerate stack).
-  struct Stack {
-    std::vector<Layer> layers;
-  };
-  /// f32 twin of Layer, backing the f32 scoring tier.
-  struct LayerF32 {
-    MatrixF32 w;
-    MatrixF32 b;
-    bool has_bn = false;
-    MatrixF32 gamma;
-    MatrixF32 beta;
-    MatrixF32 running_mean;
-    MatrixF32 running_var;
-  };
-  /// f32 twin of Stack.
-  struct StackF32 {
-    std::vector<LayerF32> layers;
+  template <typename T>
+  using Stack = std::vector<Layer<T>>;
+  /// The exported network at one precision tier.
+  template <typename T>
+  struct Net {
+    Stack<T> rep;    ///< TARNet/CFR representation ("rep")
+    Stack<T> rep_c;  ///< DeR-CFR confounder stack ("C")
+    Stack<T> rep_a;  ///< DeR-CFR adjustment stack ("A")
+    Stack<T> body0;  ///< control head body ("heads.h0")
+    Stack<T> body1;  ///< treated head body ("heads.h1")
+    Layer<T> out0;   ///< control head output unit ("heads.h0.out")
+    Layer<T> out1;   ///< treated head output unit ("heads.h1.out")
   };
 
   ServingModel() = default;
 
   /// Runs `stack` over `x` with the exported activation/BN settings.
-  Matrix RunStack(const Stack& stack, const Matrix& x) const;
+  template <typename T>
+  BasicMatrix<T> RunStack(const Stack<T>& stack,
+                          const BasicMatrix<T>& x) const;
   /// The balanced representation of `x` (rep stack(s), normalization,
   /// DeR-CFR concat) — the input of both outcome heads.
-  Matrix Representation(const Matrix& x) const;
-  /// f32 twins of RunStack / Representation.
-  MatrixF32 RunStackF32(const StackF32& stack, const MatrixF32& x) const;
-  MatrixF32 RepresentationF32(const MatrixF32& x) const;
+  template <typename T>
+  BasicMatrix<T> Representation(const Net<T>& net,
+                                const BasicMatrix<T>& x) const;
+  /// The (n x 2) potential outcomes of `net` on `x` (ScoreOutcomes
+  /// after the tier's input cast).
+  template <typename T>
+  Matrix Outcomes(const Net<T>& net, const BasicMatrix<T>& x) const;
 
   ServingMeta meta_;
-  Stack rep_;     // TARNet/CFR representation ("rep")
-  Stack rep_c_;   // DeR-CFR confounder stack ("C")
-  Stack rep_a_;   // DeR-CFR adjustment stack ("A")
-  Stack body0_;   // control head body ("heads.h0")
-  Stack body1_;   // treated head body ("heads.h1")
-  Layer out0_;    // control head output unit ("heads.h0.out")
-  Layer out1_;    // treated head output unit ("heads.h1.out")
-  // f32 twins of the stacks above (always built: from the exported f32
-  // section when present, else narrowed from the f64 tensors).
-  StackF32 rep32_;
-  StackF32 rep_c32_;
-  StackF32 rep_a32_;
-  StackF32 body032_;
-  StackF32 body132_;
-  LayerF32 out032_;
-  LayerF32 out132_;
+  // Only the tier resolved at load is built; the other stays empty.
+  Net<double> net64_;
+  Net<float> net32_;
   Precision precision_ = Precision::kF64;
   std::optional<OodLevelDetector> detector_;
   double row_null_q95_ = 0.0;

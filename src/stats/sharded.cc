@@ -7,7 +7,6 @@
 #include "common/simd.h"
 #include "stats/rff.h"
 #include "tensor/linalg.h"
-#include "tensor/linalg_f32.h"
 
 namespace sbrl {
 
@@ -39,42 +38,22 @@ ColumnMoments CombineColumnMoments(ColumnMoments a, ColumnMoments b) {
 StatusOr<ColumnMoments> ShardedColumnMoments(DatasetBlockReader& reader,
                                              const ShardedOptions& options) {
   const int64_t d = reader.dim();
-  const ShardedOptions opts = ResolveShardedOptions(options);
-  if (opts.precision == Precision::kF32) {
-    return ShardedReduceF32<ColumnMoments>(
-        reader, opts,
-        [d](int64_t /*shard*/, int64_t /*slot*/, const CausalBlockF32& block) {
-          // f32 storage, f64 accumulation: each stored covariate was
-          // rounded once at staging; the running sums stay double so
-          // accumulation error does not grow with n.
-          ColumnMoments m;
-          m.rows = block.n();
-          m.sum = Matrix(1, d);
-          m.sum_sq = Matrix(1, d);
-          for (int64_t i = 0; i < block.n(); ++i) {
-            const float* row = block.x.data() + i * d;
-            for (int64_t j = 0; j < d; ++j) {
-              const double v = static_cast<double>(row[j]);
-              m.sum(0, j) += v;
-              m.sum_sq(0, j) += v * v;
-            }
-          }
-          return m;
-        },
-        &CombineColumnMoments);
-  }
-  return ShardedReduce<ColumnMoments>(
-      reader, opts,
-      [d](int64_t /*shard*/, int64_t /*slot*/, const CausalDataset& block) {
+  return ShardedReduceAtPrecision<ColumnMoments>(
+      reader, options,
+      [d](int64_t /*shard*/, int64_t /*slot*/, const auto& block) {
+        // The running sums accumulate in f64 on both tiers: an
+        // f32-staged covariate was rounded once at staging, and the
+        // accumulation error does not grow with n.
         ColumnMoments m;
         m.rows = block.n();
         m.sum = Matrix(1, d);
         m.sum_sq = Matrix(1, d);
         for (int64_t i = 0; i < block.n(); ++i) {
-          const double* row = block.x.data() + i * d;
+          const auto* row = block.x.data() + i * d;
           for (int64_t j = 0; j < d; ++j) {
-            m.sum(0, j) += row[j];
-            m.sum_sq(0, j) += row[j] * row[j];
+            const double v = row[j];
+            m.sum(0, j) += v;
+            m.sum_sq(0, j) += v * v;
           }
         }
         return m;
@@ -109,28 +88,36 @@ double FinalizeHsicRff(const HsicRffMoments& moments) {
 
 namespace {
 
+/// The RFF projection of one HSIC side at both storage widths: the
+/// f64 projection and its one-time narrowing for the f32 tier.
+struct SideProjection {
+  RffProjection f64;
+  MatrixF32 w32;
+  MatrixF32 phi32;
+};
+
 /// RFF feature map of the selected column (covariate index or
-/// kOutcomeColumn) of one block: (rows x k).
+/// kOutcomeColumn) of one f64 block: (rows x k).
 Matrix BlockFeatures(const CausalDataset& block, int64_t col,
-                     const RffProjection& proj) {
+                     const SideProjection& proj) {
   if (col == kOutcomeColumn) {
-    return ApplyRff(proj, block.y, CosineMode::kExact);
+    return ApplyRff(proj.f64, block.y, CosineMode::kExact);
   }
-  return ApplyRffToColumn(proj, block.x, col, CosineMode::kExact);
+  return ApplyRffToColumn(proj.f64, block.x, col, CosineMode::kExact);
 }
 
-/// f32-tier feature map of the selected column of an f32-staged block
-/// (`w` / `phi` are the projection narrowed once by the caller): the
-/// angle pass runs in f32 and the sqrt(2)-cosine epilogue goes through
-/// the f32 sweep kernels — this is the tier's point, so it takes the
-/// vectorized sweep rather than the f64 path's kExact (the f32 tier's
-/// cross-ISA contract is tolerance, not bitwise).
-MatrixF32 BlockFeaturesF32(const CausalBlockF32& block, int64_t col,
-                           const MatrixF32& w, const MatrixF32& phi) {
+/// f32-tier feature map of the selected column of an f32-staged block:
+/// the angle pass runs in f32 over the narrowed projection and the
+/// sqrt(2)-cosine epilogue goes through the f32 sweep kernels — this
+/// is the tier's point, so it takes the vectorized sweep rather than
+/// the f64 path's kExact (the f32 tier's cross-ISA contract is
+/// tolerance, not bitwise).
+MatrixF32 BlockFeatures(const CausalBlockF32& block, int64_t col,
+                        const SideProjection& proj) {
   const int64_t n = block.n();
-  const int64_t kf = w.cols();
-  const float* wd = w.data();
-  const float* pd = phi.data();
+  const int64_t kf = proj.w32.cols();
+  const float* wd = proj.w32.data();
+  const float* pd = proj.phi32.data();
   MatrixF32 out(n, kf);
   float* od = out.data();
   for (int64_t i = 0; i < n; ++i) {
@@ -146,17 +133,29 @@ MatrixF32 BlockFeaturesF32(const CausalBlockF32& block, int64_t col,
   return out;
 }
 
-/// Per-column sums of an f32 matrix, accumulated in f64 (1 x cols) —
-/// the "f32 storage, f64 accumulation" half of the HSIC f32 leaf.
-Matrix ColSumWidened(const MatrixF32& m) {
+/// Per-column sums of `m`, accumulated in f64 (1 x cols) in ascending
+/// row order — for an f64 matrix exactly ColSum, for an f32 one the
+/// "f32 storage, f64 accumulation" half of the HSIC f32 leaf.
+template <typename T>
+Matrix ColSumF64(const BasicMatrix<T>& m) {
   Matrix out(1, m.cols());
   double* od = out.data();
-  const float* md = m.data();
+  const T* md = m.data();
   for (int64_t i = 0; i < m.rows(); ++i) {
-    const float* row = md + i * m.cols();
+    const T* row = md + i * m.cols();
     for (int64_t j = 0; j < m.cols(); ++j) od[j] += static_cast<double>(row[j]);
   }
   return out;
+}
+
+/// Both widths of the projection in counter-based slot `slot`.
+SideProjection SampleSide(uint64_t draw_seed, int64_t num_features,
+                          int64_t slot) {
+  SideProjection side;
+  side.f64 = SampleRffSlot(draw_seed, 1, num_features, slot);
+  side.w32 = MatrixCast<float>(side.f64.w);
+  side.phi32 = MatrixCast<float>(side.f64.phi);
+  return side;
 }
 
 }  // namespace
@@ -173,56 +172,28 @@ StatusOr<double> ShardedHsicRff(DatasetBlockReader& reader, int64_t col_a,
   // Counter-based slot draws: both projections are pure functions of
   // (draw_seed, slot), never of the stream, so every shard sees the
   // same features no matter when or where it is processed.
-  const RffProjection proj_a = SampleRffSlot(draw_seed, 1, num_features, 0);
-  const RffProjection proj_b = SampleRffSlot(draw_seed, 1, num_features, 1);
-  const ShardedOptions opts = ResolveShardedOptions(options);
-  int64_t rows = 0;
-  if (opts.precision == Precision::kF32) {
-    // Narrow the projections once; every shard then works from the
-    // same f32 frequencies/phases no matter when it is processed.
-    const MatrixF32 wa = MatrixF32::FromF64(proj_a.w);
-    const MatrixF32 pa = MatrixF32::FromF64(proj_a.phi);
-    const MatrixF32 wb = MatrixF32::FromF64(proj_b.w);
-    const MatrixF32 pb = MatrixF32::FromF64(proj_b.phi);
-    SBRL_ASSIGN_OR_RETURN(
-        const HsicRffMoments reduced,
-        ShardedReduceF32<HsicRffMoments>(
-            reader, opts,
-            [&](int64_t /*shard*/, int64_t /*slot*/,
-                const CausalBlockF32& block) {
-              const MatrixF32 phi = BlockFeaturesF32(block, col_a, wa, pa);
-              const MatrixF32 psi = BlockFeaturesF32(block, col_b, wb, pb);
-              HsicRffMoments m;
-              m.rows = block.n();
-              // Feature sums accumulate in f64 straight from the f32
-              // features; the cross products run on the f32 matmul
-              // tables WITHIN the shard (<= shard_rows f32 dot terms,
-              // the tier's documented budget) and widen once — all
-              // cross-shard accumulation is f64 via the combine.
-              m.sum_a = ColSumWidened(phi);
-              m.sum_b = ColSumWidened(psi);
-              m.cross = MatmulTransAF32(phi, psi).ToF64();
-              return m;
-            },
-            &CombineHsicRffMoments, &rows));
-    return FinalizeHsicRff(reduced);
-  }
+  const SideProjection proj_a = SampleSide(draw_seed, num_features, 0);
+  const SideProjection proj_b = SampleSide(draw_seed, num_features, 1);
   SBRL_ASSIGN_OR_RETURN(
       const HsicRffMoments reduced,
-      ShardedReduce<HsicRffMoments>(
-          reader, opts,
-          [&](int64_t /*shard*/, int64_t /*slot*/,
-              const CausalDataset& block) {
-            const Matrix phi = BlockFeatures(block, col_a, proj_a);
-            const Matrix psi = BlockFeatures(block, col_b, proj_b);
+      ShardedReduceAtPrecision<HsicRffMoments>(
+          reader, options,
+          [&](int64_t /*shard*/, int64_t /*slot*/, const auto& block) {
+            const auto phi = BlockFeatures(block, col_a, proj_a);
+            const auto psi = BlockFeatures(block, col_b, proj_b);
             HsicRffMoments m;
             m.rows = block.n();
-            m.sum_a = ColSum(phi);
-            m.sum_b = ColSum(psi);
-            m.cross = MatmulTransA(phi, psi);
+            // Feature sums accumulate in f64. Under the f32 tier the
+            // cross products run on the f32 matmul tables WITHIN the
+            // shard (<= shard_rows f32 dot terms, the tier's
+            // documented budget) and widen once; all cross-shard
+            // accumulation is f64 via the combine.
+            m.sum_a = ColSumF64(phi);
+            m.sum_b = ColSumF64(psi);
+            m.cross = MatrixCast<double>(MatmulTransA(phi, psi));
             return m;
           },
-          &CombineHsicRffMoments, &rows));
+          &CombineHsicRffMoments));
   return FinalizeHsicRff(reduced);
 }
 

@@ -35,11 +35,12 @@ struct ShardedOptions {
   /// through ResolvePrecision — so SBRL_PRECISION=f32 flips it without
   /// touching call sites, and kF64 (the default) remains the reference
   /// tier every bitwise contract is stated against. Under kF32 the
-  /// wave's staged blocks hold f32 covariates (ShardedReduceF32) —
-  /// half the resident block bytes and reader-to-wave traffic — while
-  /// the moment accumulators keep accumulating in f64 (see
-  /// ShardedColumnMoments / ShardedHsicRff) and the sharded trainer
-  /// widens per lane just in time for the f64 tape.
+  /// wave's staged blocks hold f32 covariates (CausalBlockF32, see
+  /// ShardedReduceAtPrecision) — half the resident block bytes and
+  /// reader-to-wave traffic — while the moment accumulators keep
+  /// accumulating in f64 (see ShardedColumnMoments / ShardedHsicRff)
+  /// and the sharded trainer widens per lane just in time for the f64
+  /// tape.
   Precision precision = Precision::kF64;
 };
 
@@ -131,24 +132,32 @@ T TreeReduce(std::vector<T> items, typename FixedOrderTreeReducer<T>::Combine
 /// concurrently on the global ThreadPool, and pushes the results into
 /// a FixedOrderTreeReducer in ascending shard order.
 ///
+/// `Block` is the wave's block type (see PullBlock): CausalDataset
+/// holds the pulled f64 block; CausalBlockF32 is f32 block staging —
+/// each slot is pulled through ONE reused f64 scratch block and
+/// narrowed in place, so the resident wave holds `workers` f32
+/// covariate blocks instead of f64 ones.
+///
 /// `leaf(shard_index, slot, block)` must be a pure function of
 /// (shard_index, block) — `slot` (< workers) only names the lane-
 /// scoped scratch (e.g. a MatrixPool) the leaf may use, and scratch
 /// must be value-transparent. Under that contract the reduction is
 /// bitwise identical for every worker count: leaves never depend on
-/// scheduling, and the combine bracketing depends only on the shard
-/// count. Returns InvalidArgument on an empty stream; `total_rows` /
-/// `total_shards` (optional) receive the pass totals.
-template <typename T>
+/// scheduling, the combine bracketing depends only on the shard
+/// count, and f32 narrowing is per-element and deterministic. Returns
+/// InvalidArgument on an empty stream; `total_rows` / `total_shards`
+/// (optional) receive the pass totals.
+template <typename T, typename Block = CausalDataset>
 StatusOr<T> ShardedReduce(
     DatasetBlockReader& reader, const ShardedOptions& options,
-    const std::function<T(int64_t, int64_t, const CausalDataset&)>& leaf,
+    const std::function<T(int64_t, int64_t, const Block&)>& leaf,
     const typename FixedOrderTreeReducer<T>::Combine& combine,
     int64_t* total_rows = nullptr, int64_t* total_shards = nullptr) {
   const ShardedOptions opts = ResolveShardedOptions(options);
   const int64_t wave_width = opts.workers;
   FixedOrderTreeReducer<T> reducer(combine);
-  std::vector<CausalDataset> wave(static_cast<size_t>(wave_width));
+  CausalDataset stage;  // the f32 staging pull scratch, reused per pull
+  std::vector<Block> wave(static_cast<size_t>(wave_width));
   std::vector<T> results(static_cast<size_t>(wave_width));
   int64_t shard_index = 0;
   int64_t rows_total = 0;
@@ -157,8 +166,8 @@ StatusOr<T> ShardedReduce(
     while (filled < wave_width) {
       SBRL_ASSIGN_OR_RETURN(
           const int64_t rows,
-          reader.NextBlock(opts.shard_rows,
-                           &wave[static_cast<size_t>(filled)]));
+          PullBlock(reader, opts.shard_rows, &stage,
+                    &wave[static_cast<size_t>(filled)]));
       if (rows == 0) break;
       rows_total += rows;
       ++filled;
@@ -187,62 +196,23 @@ StatusOr<T> ShardedReduce(
   return reducer.Finish();
 }
 
-/// f32-staged twin of ShardedReduce: the same wave / fixed-order
-/// reducer mechanics, but each wave slot is a CausalBlockF32 — pulled
-/// through ONE reused f64 scratch block and narrowed in place
-/// (NextBlockF32), so the resident wave holds `workers` f32 covariate
-/// blocks instead of f64 ones. The same leaf-purity contract applies,
-/// and so does its consequence: narrowing is per-element and
-/// deterministic, so results stay bitwise identical for every worker
-/// count. Callers route here when the resolved options carry
-/// Precision::kF32.
-template <typename T>
-StatusOr<T> ShardedReduceF32(
+/// ShardedReduce over the wave block type of the resolved
+/// `options.precision`: CausalBlockF32 under kF32, CausalDataset
+/// otherwise. `leaf` is generic over the block type (a `const auto&`
+/// lambda), so one leaf body serves both tiers.
+template <typename T, typename Leaf>
+StatusOr<T> ShardedReduceAtPrecision(
     DatasetBlockReader& reader, const ShardedOptions& options,
-    const std::function<T(int64_t, int64_t, const CausalBlockF32&)>& leaf,
+    const Leaf& leaf,
     const typename FixedOrderTreeReducer<T>::Combine& combine,
     int64_t* total_rows = nullptr, int64_t* total_shards = nullptr) {
   const ShardedOptions opts = ResolveShardedOptions(options);
-  const int64_t wave_width = opts.workers;
-  FixedOrderTreeReducer<T> reducer(combine);
-  CausalDataset stage;  // the single f64 pull scratch, reused per pull
-  std::vector<CausalBlockF32> wave(static_cast<size_t>(wave_width));
-  std::vector<T> results(static_cast<size_t>(wave_width));
-  int64_t shard_index = 0;
-  int64_t rows_total = 0;
-  for (;;) {
-    int64_t filled = 0;
-    while (filled < wave_width) {
-      SBRL_ASSIGN_OR_RETURN(
-          const int64_t rows,
-          NextBlockF32(reader, opts.shard_rows, &stage,
-                       &wave[static_cast<size_t>(filled)]));
-      if (rows == 0) break;
-      rows_total += rows;
-      ++filled;
-    }
-    if (filled == 0) break;
-    const int64_t base = shard_index;
-    ParallelFor(0, filled, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t s = lo; s < hi; ++s) {
-        results[static_cast<size_t>(s)] =
-            leaf(base + s, s, wave[static_cast<size_t>(s)]);
-      }
-    });
-    // Reduction order is ascending shard index, independent of which
-    // lane computed what.
-    for (int64_t s = 0; s < filled; ++s) {
-      reducer.Push(std::move(results[static_cast<size_t>(s)]));
-    }
-    shard_index += filled;
-    if (filled < wave_width) break;  // stream exhausted mid-wave
+  if (opts.precision == Precision::kF32) {
+    return ShardedReduce<T, CausalBlockF32>(reader, opts, leaf, combine,
+                                            total_rows, total_shards);
   }
-  if (shard_index == 0) {
-    return Status::InvalidArgument("empty dataset stream");
-  }
-  if (total_rows != nullptr) *total_rows = rows_total;
-  if (total_shards != nullptr) *total_shards = shard_index;
-  return reducer.Finish();
+  return ShardedReduce<T, CausalDataset>(reader, opts, leaf, combine,
+                                         total_rows, total_shards);
 }
 
 /// Per-shard covariate column sums: rows, per-column sum and

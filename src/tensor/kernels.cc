@@ -9,6 +9,8 @@
 
 #include "tensor/kernels.h"
 
+#include <type_traits>
+
 #include "tensor/kernels_impl.h"
 
 namespace sbrl {
@@ -17,16 +19,16 @@ namespace {
 
 namespace lk = linalg_kernels;
 
-constexpr LinalgKernels kBaselineTable = {
-    lk::BaselineMatmulRows,      lk::BaselineMatmulTransARows,
-    lk::BaselineMatmulTransBRows, lk::BaselineBlockCrossFwd,
-    lk::BaselineBlockCrossGradDw, lk::BaselineBlockCrossFwdGeneric,
-};
+// The per-ISA matmul entry points are overloaded on the element type;
+// each table member's function-pointer type picks the overload.
+template <typename T>
+constexpr MatmulKernels<T> kBaselineMatmul = {
+    lk::BaselineMatmulRows, lk::BaselineMatmulTransARows,
+    lk::BaselineMatmulTransBRows};
 
-constexpr LinalgKernelsF32 kBaselineTableF32 = {
-    lk::BaselineMatmulRowsF32,
-    lk::BaselineMatmulTransARowsF32,
-    lk::BaselineMatmulTransBRowsF32,
+constexpr LinalgKernels kBaselineTable = {
+    kBaselineMatmul<double>, lk::BaselineBlockCrossFwd,
+    lk::BaselineBlockCrossGradDw, lk::BaselineBlockCrossFwdGeneric,
 };
 
 #if defined(SBRL_HAVE_ISA_AVX2)
@@ -56,21 +58,19 @@ bool Avx2BlockCrossGradDwOrBaseline(int64_t block, const double* gd,
                                       num_pairs, r0, r1);
 }
 
+template <typename T>
+constexpr MatmulKernels<T> kAvx2Matmul = {
+    lk::Avx2MatmulRows, lk::Avx2MatmulTransARows, lk::Avx2MatmulTransBRows};
+
 constexpr LinalgKernels kAvx2Table = {
-    lk::Avx2MatmulRows,      lk::Avx2MatmulTransARows,
-    lk::Avx2MatmulTransBRows, Avx2BlockCrossFwdOrBaseline,
+    kAvx2Matmul<double>, Avx2BlockCrossFwdOrBaseline,
     Avx2BlockCrossGradDwOrBaseline, lk::Avx2BlockCrossFwdGeneric,
 };
 
-constexpr LinalgKernelsF32 kAvx2TableF32 = {
-    lk::Avx2MatmulRowsF32,
-    lk::Avx2MatmulTransARowsF32,
-    lk::Avx2MatmulTransBRowsF32,
-};
-
 #else
+template <typename T>
+constexpr MatmulKernels<T> kAvx2Matmul = kBaselineMatmul<T>;
 constexpr LinalgKernels kAvx2Table = kBaselineTable;
-constexpr LinalgKernelsF32 kAvx2TableF32 = kBaselineTableF32;
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -108,21 +108,20 @@ bool Avx512BlockCrossGradDwOrBaseline(int64_t block, const double* gd,
                                       num_pairs, r0, r1);
 }
 
+template <typename T>
+constexpr MatmulKernels<T> kAvx512Matmul = {
+    lk::Avx512MatmulRows, lk::Avx512MatmulTransARows,
+    lk::Avx512MatmulTransBRows};
+
 constexpr LinalgKernels kAvx512Table = {
-    lk::Avx512MatmulRows,      lk::Avx512MatmulTransARows,
-    lk::Avx512MatmulTransBRows, Avx512BlockCrossFwdOrBaseline,
+    kAvx512Matmul<double>, Avx512BlockCrossFwdOrBaseline,
     Avx512BlockCrossGradDwOrBaseline, lk::Avx512BlockCrossFwdGeneric,
 };
 
-constexpr LinalgKernelsF32 kAvx512TableF32 = {
-    lk::Avx512MatmulRowsF32,
-    lk::Avx512MatmulTransARowsF32,
-    lk::Avx512MatmulTransBRowsF32,
-};
-
 #else
+template <typename T>
+constexpr MatmulKernels<T> kAvx512Matmul = kAvx2Matmul<T>;
 constexpr LinalgKernels kAvx512Table = kAvx2Table;
-constexpr LinalgKernelsF32 kAvx512TableF32 = kAvx2TableF32;
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace
@@ -140,17 +139,21 @@ const LinalgKernels& ActiveLinalgKernels() {
   return LinalgKernelsForIsa(ActiveIsa());
 }
 
-const LinalgKernelsF32& LinalgKernelsF32ForIsa(Isa isa) {
-  switch (isa) {
-    case Isa::kBaseline: return kBaselineTableF32;
-    case Isa::kAvx2: return kAvx2TableF32;
-    case Isa::kAvx512: return kAvx512TableF32;
+template <typename T>
+const MatmulKernels<T>& MatmulKernelsForIsa(Isa isa) {
+  if constexpr (std::is_same_v<T, double>) {
+    return LinalgKernelsForIsa(isa);
+  } else {
+    switch (isa) {
+      case Isa::kBaseline: return kBaselineMatmul<T>;
+      case Isa::kAvx2: return kAvx2Matmul<T>;
+      case Isa::kAvx512: return kAvx512Matmul<T>;
+    }
+    return kBaselineMatmul<T>;
   }
-  return kBaselineTableF32;
 }
 
-const LinalgKernelsF32& ActiveLinalgKernelsF32() {
-  return LinalgKernelsF32ForIsa(ActiveIsa());
-}
+template const MatmulKernels<double>& MatmulKernelsForIsa<double>(Isa isa);
+template const MatmulKernels<float>& MatmulKernelsForIsa<float>(Isa isa);
 
 }  // namespace sbrl

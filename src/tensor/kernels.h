@@ -8,14 +8,53 @@
 
 namespace sbrl {
 
+/// Function-pointer table of the dense matmul tile kernels of one Isa
+/// level for element type T. T = double is the f64 reference tier and
+/// the leading part of LinalgKernels below; T = float is the f32 tier
+/// (common/precision.h). Both widths share one determinism split:
+///  - matmul_rows / matmul_trans_a_rows vectorize only the independent
+///    output dimension and keep each element's multiply-then-add chain
+///    in ascending reduction order, so they are bitwise identical
+///    across every Isa level (the f32 result tracks the f64 one only
+///    to f32 rounding — the cross-TIER budget lives in
+///    tests/precision_test.cc).
+///  - matmul_trans_b_rows is dot-product shaped: wider levels use FMA
+///    lanes plus a fixed-shape horizontal sum, so it is deterministic
+///    and chunk-invariant within a level but agrees with baseline only
+///    to rounding (bounded by tests/cpu_dispatch_test.cc).
+template <typename T>
+struct MatmulKernels {
+  /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
+  /// element accumulates its k terms in ascending order.
+  using MatmulRowsFn = void (*)(const T* a, const T* b, T* o, int64_t k,
+                                int64_t m, int64_t r0, int64_t r1);
+  /// Rows [r0, r1) of out += a^T * b, a (k x n), b (k x m): the
+  /// reduction index stays outermost-ascending for every element.
+  using MatmulTransARowsFn = void (*)(const T* a, const T* b, T* o, int64_t k,
+                                      int64_t n, int64_t m, int64_t r0,
+                                      int64_t r1);
+  /// Rows [r0, r1) of out += a * b^T, a (n x k), b (m x k): per-element
+  /// dot products over k.
+  using MatmulTransBRowsFn = void (*)(const T* a, const T* b, T* o, int64_t k,
+                                      int64_t m, int64_t r0, int64_t r1);
+
+  /// Matmul tile kernel of this level.
+  MatmulRowsFn matmul_rows;
+  /// MatmulTransA tile kernel of this level.
+  MatmulTransARowsFn matmul_trans_a_rows;
+  /// MatmulTransB tile kernel of this level.
+  MatmulTransBRowsFn matmul_trans_b_rows;
+};
+
 /// Function-pointer table of the per-tile linear-algebra kernels behind
-/// the three hot kernel families (dense matmuls, the block-pair HSIC
-/// cross kernels, and — resolved separately in common/simd.cc for
-/// layering — the RFF cosine sweep). One table exists per Isa level;
-/// tensor/linalg.cc fetches ActiveLinalgKernels() at each public entry
-/// point and hands tiles to the resolved kernels, so the shape checks,
-/// serial cutoffs, and ParallelFor chunking live in exactly one place
-/// while the arithmetic inner loops are ISA-specialized.
+/// the three hot kernel families of the f64 tier: dense matmuls (the
+/// MatmulKernels<double> base), the block-pair HSIC cross kernels, and
+/// the RFF cosine sweep (resolved separately in common/simd.cc for
+/// layering). One table exists per Isa level; tensor/linalg.cc
+/// fetches the active table at each public entry point and hands tiles
+/// to the resolved kernels, so the shape checks, serial cutoffs, and
+/// ParallelFor chunking live in exactly one place while the arithmetic
+/// inner loops are ISA-specialized.
 ///
 /// Determinism contract (docs/ARCHITECTURE.md "ISA dispatch"):
 ///  - The baseline table is the pre-dispatch scalar code verbatim:
@@ -31,21 +70,7 @@ namespace sbrl {
 ///    sum, so they are deterministic and thread-count-invariant WITHIN
 ///    a level but agree with baseline only to rounding (bounded by
 ///    tests/cpu_dispatch_test.cc).
-struct LinalgKernels {
-  /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m): each output
-  /// element accumulates its k terms in ascending order.
-  using MatmulRowsFn = void (*)(const double* a, const double* b, double* o,
-                                int64_t k, int64_t m, int64_t r0, int64_t r1);
-  /// Rows [r0, r1) of out += a^T * b, a (k x n), b (k x m): the
-  /// reduction index stays outermost-ascending for every element.
-  using MatmulTransARowsFn = void (*)(const double* a, const double* b,
-                                      double* o, int64_t k, int64_t n,
-                                      int64_t m, int64_t r0, int64_t r1);
-  /// Rows [r0, r1) of out += a * b^T, a (n x k), b (m x k): per-element
-  /// dot products over k.
-  using MatmulTransBRowsFn = void (*)(const double* a, const double* b,
-                                      double* o, int64_t k, int64_t m,
-                                      int64_t r0, int64_t r1);
+struct LinalgKernels : MatmulKernels<double> {
   /// Specialized-block-size weighted cross forward over pairs [p0, p1)
   /// (see BlockPairWeightedCrossInto); returns false when `block` has
   /// no specialization at this level so the caller falls back to the
@@ -79,12 +104,6 @@ struct LinalgKernels {
                                           const std::pair<int64_t, int64_t>* pd,
                                           int64_t p0, int64_t p1);
 
-  /// Matmul tile kernel of this level.
-  MatmulRowsFn matmul_rows;
-  /// MatmulTransA tile kernel of this level.
-  MatmulTransARowsFn matmul_trans_a_rows;
-  /// MatmulTransB tile kernel of this level.
-  MatmulTransBRowsFn matmul_trans_b_rows;
   /// Specialized block-pair weighted-cross forward of this level.
   BlockCrossFwdFn block_cross_fwd;
   /// Specialized block-pair dw-only backward of this level.
@@ -103,48 +122,17 @@ const LinalgKernels& LinalgKernelsForIsa(Isa isa);
 /// index; called once per public linalg entry point, not per tile).
 const LinalgKernels& ActiveLinalgKernels();
 
-/// Function-pointer table of the f32-tier matmul kernels (see
-/// common/precision.h). Same dispatch mechanics as LinalgKernels —
-/// one table per Isa level, resolved per public entry point in
-/// tensor/linalg_f32.cc — and the same per-kernel determinism split
-/// restated on floats:
-///  - matmul_rows / matmul_trans_a_rows vectorize only the independent
-///    output dimension with each element's multiply-then-add chain in
-///    ascending reduction order, so the f32 result is bitwise
-///    identical across every Isa level (it tracks the f64 kernels only
-///    to f32 rounding — the cross-TIER budget lives in
-///    tests/precision_test.cc).
-///  - matmul_trans_b_rows is dot-shaped: wider levels use f32 FMA
-///    lanes plus a fixed-shape horizontal sum, deterministic and
-///    chunk-invariant within a level, tolerance-bounded vs baseline.
-struct LinalgKernelsF32 {
-  /// Rows [r0, r1) of out += a * b, a (n x k), b (k x m), all float.
-  using MatmulRowsF32Fn = void (*)(const float* a, const float* b, float* o,
-                                   int64_t k, int64_t m, int64_t r0,
-                                   int64_t r1);
-  /// Rows [r0, r1) of out += a^T * b, a (k x n), b (k x m), all float.
-  using MatmulTransARowsF32Fn = void (*)(const float* a, const float* b,
-                                         float* o, int64_t k, int64_t n,
-                                         int64_t m, int64_t r0, int64_t r1);
-  /// Rows [r0, r1) of out += a * b^T, a (n x k), b (m x k), all float.
-  using MatmulTransBRowsF32Fn = void (*)(const float* a, const float* b,
-                                         float* o, int64_t k, int64_t m,
-                                         int64_t r0, int64_t r1);
+/// The matmul table of element type T (double or float) at one Isa
+/// level; for double this is the MatmulKernels part of
+/// LinalgKernelsForIsa(isa). Levels not compiled in alias baseline.
+template <typename T>
+const MatmulKernels<T>& MatmulKernelsForIsa(Isa isa);
 
-  /// f32 matmul tile kernel of this level.
-  MatmulRowsF32Fn matmul_rows;
-  /// f32 MatmulTransA tile kernel of this level.
-  MatmulTransARowsF32Fn matmul_trans_a_rows;
-  /// f32 MatmulTransB tile kernel of this level.
-  MatmulTransBRowsF32Fn matmul_trans_b_rows;
-};
-
-/// The f32 kernel table of one Isa level (levels not compiled in alias
-/// baseline, exactly like LinalgKernelsForIsa).
-const LinalgKernelsF32& LinalgKernelsF32ForIsa(Isa isa);
-
-/// The f32 table of the currently active ISA.
-const LinalgKernelsF32& ActiveLinalgKernelsF32();
+/// The matmul table of element type T at the currently active ISA.
+template <typename T>
+const MatmulKernels<T>& ActiveMatmulKernels() {
+  return MatmulKernelsForIsa<T>(ActiveIsa());
+}
 
 }  // namespace sbrl
 

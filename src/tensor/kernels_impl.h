@@ -6,7 +6,9 @@
 // own translation unit compiled with that ISA's -march flags
 // (linalg_kernels_baseline.cc / _avx2.cc / _avx512.cc); only
 // tensor/kernels.cc includes this header. Signatures mirror the
-// function-pointer types on LinalgKernels exactly.
+// function-pointer types on MatmulKernels<T> / LinalgKernels exactly;
+// the matmul entry points are overloaded on the element type (double
+// for the f64 tables, float for the f32 ones).
 
 #include <cstdint>
 #include <utility>
@@ -19,11 +21,11 @@ namespace linalg_kernels {
 /// the determinism contract.
 void BaselineMatmulRows(const double* a, const double* b, double* o,
                         int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::MatmulTransARowsFn.
+/// See MatmulKernels::MatmulTransARowsFn.
 void BaselineMatmulTransARows(const double* a, const double* b, double* o,
                               int64_t k, int64_t n, int64_t m, int64_t r0,
                               int64_t r1);
-/// See LinalgKernels::MatmulTransBRowsFn.
+/// See MatmulKernels::MatmulTransBRowsFn.
 void BaselineMatmulTransBRows(const double* a, const double* b, double* o,
                               int64_t k, int64_t m, int64_t r0, int64_t r1);
 /// See LinalgKernels::BlockCrossFwdFn. Specializes block in {3, 4, 5, 8}.
@@ -44,18 +46,17 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
                                   int64_t block,
                                   const std::pair<int64_t, int64_t>* pd,
                                   int64_t p0, int64_t p1);
-/// f32-tier baseline kernels: the same loop shapes as the f64 baseline
-/// set restated on floats.
-void BaselineMatmulRowsF32(const float* a, const float* b, float* o,
-                           int64_t k, int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernelsF32::MatmulTransARowsF32Fn.
-void BaselineMatmulTransARowsF32(const float* a, const float* b, float* o,
-                                 int64_t k, int64_t n, int64_t m, int64_t r0,
-                                 int64_t r1);
-/// See LinalgKernelsF32::MatmulTransBRowsF32Fn.
-void BaselineMatmulTransBRowsF32(const float* a, const float* b, float* o,
-                                 int64_t k, int64_t m, int64_t r0,
-                                 int64_t r1);
+/// f32-tier baseline matmul kernels: the same type-generic source as
+/// the f64 set, instantiated on float.
+void BaselineMatmulRows(const float* a, const float* b, float* o, int64_t k,
+                        int64_t m, int64_t r0, int64_t r1);
+/// See MatmulKernels::MatmulTransARowsFn.
+void BaselineMatmulTransARows(const float* a, const float* b, float* o,
+                              int64_t k, int64_t n, int64_t m, int64_t r0,
+                              int64_t r1);
+/// See MatmulKernels::MatmulTransBRowsFn.
+void BaselineMatmulTransBRows(const float* a, const float* b, float* o,
+                              int64_t k, int64_t m, int64_t r0, int64_t r1);
 
 #if defined(SBRL_HAVE_ISA_AVX2)
 /// AVX2 (x86-64-v3, -ffp-contract=off) kernels. The matmul / trans-A /
@@ -64,11 +65,11 @@ void BaselineMatmulTransBRowsF32(const float* a, const float* b, float* o,
 /// dw backward use FMA lanes + horizontal sums.
 void Avx2MatmulRows(const double* a, const double* b, double* o, int64_t k,
                     int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::MatmulTransARowsFn.
+/// See MatmulKernels::MatmulTransARowsFn.
 void Avx2MatmulTransARows(const double* a, const double* b, double* o,
                           int64_t k, int64_t n, int64_t m, int64_t r0,
                           int64_t r1);
-/// See LinalgKernels::MatmulTransBRowsFn.
+/// See MatmulKernels::MatmulTransBRowsFn.
 void Avx2MatmulTransBRows(const double* a, const double* b, double* o,
                           int64_t k, int64_t m, int64_t r0, int64_t r1);
 /// See LinalgKernels::BlockCrossFwdFn. Vectorizes block in {4, 5, 8};
@@ -92,15 +93,15 @@ void Avx2BlockCrossFwdGeneric(const double* ad, int64_t acols,
                               int64_t p0, int64_t p1);
 /// f32-tier AVX2 kernels (8-lane ymm): matmul / trans-A bitwise equal
 /// to the f32 baseline, trans-B FMA lanes + fixed horizontal sum.
-void Avx2MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
-                       int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernelsF32::MatmulTransARowsF32Fn.
-void Avx2MatmulTransARowsF32(const float* a, const float* b, float* o,
-                             int64_t k, int64_t n, int64_t m, int64_t r0,
-                             int64_t r1);
-/// See LinalgKernelsF32::MatmulTransBRowsF32Fn.
-void Avx2MatmulTransBRowsF32(const float* a, const float* b, float* o,
-                             int64_t k, int64_t m, int64_t r0, int64_t r1);
+void Avx2MatmulRows(const float* a, const float* b, float* o, int64_t k,
+                    int64_t m, int64_t r0, int64_t r1);
+/// See MatmulKernels::MatmulTransARowsFn.
+void Avx2MatmulTransARows(const float* a, const float* b, float* o,
+                          int64_t k, int64_t n, int64_t m, int64_t r0,
+                          int64_t r1);
+/// See MatmulKernels::MatmulTransBRowsFn.
+void Avx2MatmulTransBRows(const float* a, const float* b, float* o,
+                          int64_t k, int64_t m, int64_t r0, int64_t r1);
 #endif  // SBRL_HAVE_ISA_AVX2
 
 #if defined(SBRL_HAVE_ISA_AVX512)
@@ -108,11 +109,11 @@ void Avx2MatmulTransBRowsF32(const float* a, const float* b, float* o,
 /// bitwise/bounded split as the AVX2 set, with 8-lane zmm tiles.
 void Avx512MatmulRows(const double* a, const double* b, double* o, int64_t k,
                       int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernels::MatmulTransARowsFn.
+/// See MatmulKernels::MatmulTransARowsFn.
 void Avx512MatmulTransARows(const double* a, const double* b, double* o,
                             int64_t k, int64_t n, int64_t m, int64_t r0,
                             int64_t r1);
-/// See LinalgKernels::MatmulTransBRowsFn.
+/// See MatmulKernels::MatmulTransBRowsFn.
 void Avx512MatmulTransBRows(const double* a, const double* b, double* o,
                             int64_t k, int64_t m, int64_t r0, int64_t r1);
 /// See LinalgKernels::BlockCrossFwdFn. Vectorizes block in {4, 5, 8}.
@@ -135,15 +136,15 @@ void Avx512BlockCrossFwdGeneric(const double* ad, int64_t acols,
                                 int64_t p0, int64_t p1);
 /// f32-tier AVX-512 kernels (16-lane zmm); same split as the AVX2 f32
 /// set.
-void Avx512MatmulRowsF32(const float* a, const float* b, float* o, int64_t k,
-                         int64_t m, int64_t r0, int64_t r1);
-/// See LinalgKernelsF32::MatmulTransARowsF32Fn.
-void Avx512MatmulTransARowsF32(const float* a, const float* b, float* o,
-                               int64_t k, int64_t n, int64_t m, int64_t r0,
-                               int64_t r1);
-/// See LinalgKernelsF32::MatmulTransBRowsF32Fn.
-void Avx512MatmulTransBRowsF32(const float* a, const float* b, float* o,
-                               int64_t k, int64_t m, int64_t r0, int64_t r1);
+void Avx512MatmulRows(const float* a, const float* b, float* o, int64_t k,
+                      int64_t m, int64_t r0, int64_t r1);
+/// See MatmulKernels::MatmulTransARowsFn.
+void Avx512MatmulTransARows(const float* a, const float* b, float* o,
+                            int64_t k, int64_t n, int64_t m, int64_t r0,
+                            int64_t r1);
+/// See MatmulKernels::MatmulTransBRowsFn.
+void Avx512MatmulTransBRows(const float* a, const float* b, float* o,
+                            int64_t k, int64_t m, int64_t r0, int64_t r1);
 #endif  // SBRL_HAVE_ISA_AVX512
 
 }  // namespace linalg_kernels

@@ -15,9 +15,10 @@ constexpr int64_t kTransposeTile = 32;
 
 // The arithmetic inner loops (matmul row tiles and the specialized
 // block-cross kernels) live in per-ISA translation units behind the
-// LinalgKernels table (tensor/kernels.h): every public entry point
-// below fetches ActiveLinalgKernels() once and hands disjoint output
-// tiles to the resolved kernels. Shape checks, serial cutoffs, and
+// MatmulKernels<T> / LinalgKernels tables (tensor/kernels.h): every
+// public entry point below fetches the active table once and hands
+// disjoint output tiles to the resolved kernels. Shape checks, serial
+// cutoffs, and
 // ParallelFor chunking stay here, identical for every ISA level, so
 // tile/block boundaries never depend on the resolved vector width.
 
@@ -29,7 +30,9 @@ int64_t GrainRows(int64_t flops_per_row) {
 
 }  // namespace
 
-void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out) {
+template <typename T>
+void MatmulInto(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                BasicMatrix<T>* out) {
   SBRL_CHECK_EQ(a.cols(), b.rows())
       << "Matmul shape mismatch " << a.ShapeString() << " * "
       << b.ShapeString();
@@ -37,13 +40,13 @@ void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out) {
       << "Matmul output shape " << out->ShapeString();
   const int64_t n = a.rows(), k = a.cols(), m = b.cols();
   if (n == 0 || k == 0 || m == 0) return;
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* od = out->data();
+  const T* ad = a.data();
+  const T* bd = b.data();
+  T* od = out->data();
   // Small products skip thread dispatch entirely (no std::function is
   // even constructed): the HSIC weight loss issues tens of thousands of
   // tiny matmuls per training run.
-  const auto kernel = ActiveLinalgKernels().matmul_rows;
+  const auto kernel = ActiveMatmulKernels<T>().matmul_rows;
   if (n * k * m <= SerialCutoff()) {
     kernel(ad, bd, od, k, m, 0, n);
     return;
@@ -53,8 +56,9 @@ void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   });
 }
 
-Matrix Matmul(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.cols());
+template <typename T>
+BasicMatrix<T> Matmul(const BasicMatrix<T>& a, const BasicMatrix<T>& b) {
+  BasicMatrix<T> out(a.rows(), b.cols());
   MatmulInto(a, b, &out);
   return out;
 }
@@ -81,7 +85,9 @@ Matrix MatmulReference(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-void MatmulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
+template <typename T>
+void MatmulTransAInto(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                      BasicMatrix<T>* out) {
   SBRL_CHECK_EQ(a.rows(), b.rows())
       << "MatmulTransA shape mismatch " << a.ShapeString() << "^T * "
       << b.ShapeString();
@@ -89,10 +95,10 @@ void MatmulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
       << "MatmulTransA output shape " << out->ShapeString();
   const int64_t k = a.rows(), n = a.cols(), m = b.cols();
   if (n == 0 || k == 0 || m == 0) return;
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* od = out->data();
-  const auto kernel = ActiveLinalgKernels().matmul_trans_a_rows;
+  const T* ad = a.data();
+  const T* bd = b.data();
+  T* od = out->data();
+  const auto kernel = ActiveMatmulKernels<T>().matmul_trans_a_rows;
   if (n * k * m <= SerialCutoff()) {
     kernel(ad, bd, od, k, n, m, 0, n);
     return;
@@ -103,8 +109,9 @@ void MatmulTransAInto(const Matrix& a, const Matrix& b, Matrix* out) {
   });
 }
 
-Matrix MatmulTransA(const Matrix& a, const Matrix& b) {
-  Matrix out(a.cols(), b.cols());
+template <typename T>
+BasicMatrix<T> MatmulTransA(const BasicMatrix<T>& a, const BasicMatrix<T>& b) {
+  BasicMatrix<T> out(a.cols(), b.cols());
   MatmulTransAInto(a, b, &out);
   return out;
 }
@@ -320,7 +327,9 @@ void BlockPairWeightedCrossGradInto(
   ParallelFor(0, n, GrainRows(flops_per_row), run_rows);
 }
 
-void MatmulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
+template <typename T>
+void MatmulTransBInto(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                      BasicMatrix<T>* out) {
   SBRL_CHECK_EQ(a.cols(), b.cols())
       << "MatmulTransB shape mismatch " << a.ShapeString() << " * "
       << b.ShapeString() << "^T";
@@ -328,10 +337,10 @@ void MatmulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
       << "MatmulTransB output shape " << out->ShapeString();
   const int64_t n = a.rows(), k = a.cols(), m = b.rows();
   if (n == 0 || k == 0 || m == 0) return;
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* od = out->data();
-  const auto kernel = ActiveLinalgKernels().matmul_trans_b_rows;
+  const T* ad = a.data();
+  const T* bd = b.data();
+  T* od = out->data();
+  const auto kernel = ActiveMatmulKernels<T>().matmul_trans_b_rows;
   if (n * k * m <= SerialCutoff()) {
     kernel(ad, bd, od, k, m, 0, n);
     return;
@@ -341,11 +350,30 @@ void MatmulTransBInto(const Matrix& a, const Matrix& b, Matrix* out) {
   });
 }
 
-Matrix MatmulTransB(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.rows());
+template <typename T>
+BasicMatrix<T> MatmulTransB(const BasicMatrix<T>& a, const BasicMatrix<T>& b) {
+  BasicMatrix<T> out(a.rows(), b.rows());
   MatmulTransBInto(a, b, &out);
   return out;
 }
+
+// The matmul family for both precision tiers (tensor/linalg.h).
+#define SBRL_INSTANTIATE_MATMUL(T)                                    \
+  template BasicMatrix<T> Matmul(const BasicMatrix<T>&,               \
+                                 const BasicMatrix<T>&);              \
+  template BasicMatrix<T> MatmulTransA(const BasicMatrix<T>&,         \
+                                       const BasicMatrix<T>&);        \
+  template BasicMatrix<T> MatmulTransB(const BasicMatrix<T>&,         \
+                                       const BasicMatrix<T>&);        \
+  template void MatmulInto(const BasicMatrix<T>&, const BasicMatrix<T>&, \
+                           BasicMatrix<T>*);                          \
+  template void MatmulTransAInto(const BasicMatrix<T>&,               \
+                                 const BasicMatrix<T>&, BasicMatrix<T>*); \
+  template void MatmulTransBInto(const BasicMatrix<T>&,               \
+                                 const BasicMatrix<T>&, BasicMatrix<T>*);
+SBRL_INSTANTIATE_MATMUL(double)
+SBRL_INSTANTIATE_MATMUL(float)
+#undef SBRL_INSTANTIATE_MATMUL
 
 Matrix Transpose(const Matrix& a) {
   const int64_t n = a.rows(), m = a.cols();

@@ -9,28 +9,44 @@
 
 namespace sbrl {
 
+// The dense matmul family is type-generic: the same entry points
+// serve Matrix (f64, every training path) and MatrixF32 (the f32
+// serving / streamed-stats tier), explicitly instantiated for both in
+// tensor/linalg.cc. Shape checks, serial cutoffs and ParallelFor
+// chunking are shared; the arithmetic runs through the element type's
+// MatmulKernels<T> table (tensor/kernels.h).
+
 /// Dense matrix product a(n x k) * b(k x m) -> (n x m). Cache-blocked
 /// and multi-threaded (see ParallelFor); this is the hot kernel of the
 /// whole library. Every output element accumulates over k in ascending
 /// order, so the result is bitwise independent of tiling and worker
 /// count and matches the naive i-k-j reference.
-Matrix Matmul(const Matrix& a, const Matrix& b);
+template <typename T>
+BasicMatrix<T> Matmul(const BasicMatrix<T>& a, const BasicMatrix<T>& b);
 
 /// a^T * b where a is (k x n): (n x m) result without materializing a^T.
-Matrix MatmulTransA(const Matrix& a, const Matrix& b);
+template <typename T>
+BasicMatrix<T> MatmulTransA(const BasicMatrix<T>& a, const BasicMatrix<T>& b);
 
 /// a * b^T where b is (m x k): (n x m) result without materializing b^T.
-Matrix MatmulTransB(const Matrix& a, const Matrix& b);
+template <typename T>
+BasicMatrix<T> MatmulTransB(const BasicMatrix<T>& a, const BasicMatrix<T>& b);
 
 /// Accumulating in-place variants for pooled output buffers: the product
 /// is ADDED into `*out`, which must already have the result shape.
 /// Callers that want `out = a * b` pass a zeroed buffer (Tape/MatrixPool
 /// buffers arrive zeroed).
-void MatmulInto(const Matrix& a, const Matrix& b, Matrix* out);
+template <typename T>
+void MatmulInto(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                BasicMatrix<T>* out);
 /// Accumulating in-place a^T * b (see MatmulInto for the contract).
-void MatmulTransAInto(const Matrix& a, const Matrix& b, Matrix* out);
+template <typename T>
+void MatmulTransAInto(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                      BasicMatrix<T>* out);
 /// Accumulating in-place a * b^T (see MatmulInto for the contract).
-void MatmulTransBInto(const Matrix& a, const Matrix& b, Matrix* out);
+template <typename T>
+void MatmulTransBInto(const BasicMatrix<T>& a, const BasicMatrix<T>& b,
+                      BasicMatrix<T>* out);
 
 /// Batched block cross-products for the HSIC-RFF pair loss. `a` and `b`
 /// are (n x d*block) stacks of d per-feature column blocks of `block`

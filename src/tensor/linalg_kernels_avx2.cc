@@ -66,18 +66,21 @@ inline float Hsum256Ps(__m256 v) {
 // register-accumulator AVX kernel (whose serialized accumulator chains
 // defeat out-of-order overlap across tiles) and bitwise identical to
 // baseline by construction.
-#define SBRL_MATMUL_ROWS_KERNEL_NAME Avx2MatmulRows
+namespace {
 #include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
+}  // namespace
 
-// f32 matmul tile: the same shared source on floats, auto-vectorized
-// to 8-lane ymm at this TU's -march level — bitwise identical to the
-// f32 baseline by the same argument as the f64 pair.
-#define SBRL_MATMUL_ROWS_KERNEL_NAME Avx2MatmulRowsF32
-#define SBRL_MATMUL_ROWS_KERNEL_TYPE float
-#include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_TYPE
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
+void Avx2MatmulRows(const double* a, const double* b, double* o, int64_t k,
+                    int64_t m, int64_t r0, int64_t r1) {
+  MatmulRowsKernel(a, b, o, k, m, r0, r1);
+}
+
+// The f32 tile is the same source on floats (8-lane ymm), bitwise
+// identical to the f32 baseline by the same argument as the f64 pair.
+void Avx2MatmulRows(const float* a, const float* b, float* o, int64_t k,
+                    int64_t m, int64_t r0, int64_t r1) {
+  MatmulRowsKernel(a, b, o, k, m, r0, r1);
+}
 
 void Avx2MatmulTransARows(const double* __restrict ad,
                           const double* __restrict bd, double* __restrict od,
@@ -424,7 +427,7 @@ bool Avx2BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
 // tree (tolerance vs the f32 baseline, chunk-invariant within level).
 // ---------------------------------------------------------------------------
 
-void Avx2MatmulTransARowsF32(const float* __restrict ad,
+void Avx2MatmulTransARows(const float* __restrict ad,
                              const float* __restrict bd,
                              float* __restrict od, int64_t k, int64_t n,
                              int64_t m, int64_t r0, int64_t r1) {
@@ -450,7 +453,7 @@ namespace {
 
 /// One f32 (i, j) dot product over k: 8-lane FMA chain ascending p,
 /// Hsum256Ps, then the scalar remainder added last.
-inline float DotAvx2F32(const float* __restrict a, const float* __restrict b,
+inline float DotAvx2(const float* __restrict a, const float* __restrict b,
                         int64_t k) {
   __m256 acc = _mm256_setzero_ps();
   int64_t p = 0;
@@ -465,12 +468,12 @@ inline float DotAvx2F32(const float* __restrict a, const float* __restrict b,
 
 }  // namespace
 
-void Avx2MatmulTransBRowsF32(const float* __restrict ad,
+void Avx2MatmulTransBRows(const float* __restrict ad,
                              const float* __restrict bd,
                              float* __restrict od, int64_t k, int64_t m,
                              int64_t r0, int64_t r1) {
   // Same blocked-panel shape as the f64 kernel (2 A rows x 4 B rows
-  // per ascending-k pass); every element runs DotAvx2F32's sequence.
+  // per ascending-k pass); every element runs DotAvx2's sequence.
   int64_t i = r0;
   for (; i + 2 <= r1; i += 2) {
     const float* a0 = ad + i * k;
@@ -520,15 +523,15 @@ void Avx2MatmulTransBRowsF32(const float* __restrict ad,
     }
     for (; j < m; ++j) {
       const float* brow = bd + j * k;
-      o0[j] += DotAvx2F32(a0, brow, k);
-      o1[j] += DotAvx2F32(a1, brow, k);
+      o0[j] += DotAvx2(a0, brow, k);
+      o1[j] += DotAvx2(a1, brow, k);
     }
   }
   for (; i < r1; ++i) {
     const float* arow = ad + i * k;
     float* orow = od + i * m;
     for (int64_t j = 0; j < m; ++j) {
-      orow[j] += DotAvx2F32(arow, bd + j * k, k);
+      orow[j] += DotAvx2(arow, bd + j * k, k);
     }
   }
 }

@@ -35,18 +35,22 @@ constexpr __mmask8 kMask5 = 0x1F;
 // The matmul tile kernel is the shared baseline SOURCE, auto-vectorized
 // at this TU's -march level; see linalg_kernels_avx2.cc for why this
 // beats a hand-written register-accumulator kernel.
-#define SBRL_MATMUL_ROWS_KERNEL_NAME Avx512MatmulRows
+namespace {
 #include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
+}  // namespace
 
-// f32 matmul tile: the shared source on floats, auto-vectorized to
-// 16-lane zmm — bitwise identical to the f32 baseline by the same
-// argument as the f64 pair.
-#define SBRL_MATMUL_ROWS_KERNEL_NAME Avx512MatmulRowsF32
-#define SBRL_MATMUL_ROWS_KERNEL_TYPE float
-#include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_TYPE
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
+void Avx512MatmulRows(const double* a, const double* b, double* o, int64_t k,
+                      int64_t m, int64_t r0, int64_t r1) {
+  MatmulRowsKernel(a, b, o, k, m, r0, r1);
+}
+
+// The f32 tile is the same source on floats (16-lane zmm), bitwise
+// identical to the f32 baseline by the same argument as the f64
+// pair.
+void Avx512MatmulRows(const float* a, const float* b, float* o, int64_t k,
+                      int64_t m, int64_t r0, int64_t r1) {
+  MatmulRowsKernel(a, b, o, k, m, r0, r1);
+}
 
 void Avx512MatmulTransARows(const double* __restrict ad,
                             const double* __restrict bd, double* __restrict od,
@@ -388,7 +392,7 @@ bool Avx512BlockCrossGradDw(int64_t block, const double* gd, const double* fd,
   }
 }
 
-void Avx512MatmulTransARowsF32(const float* __restrict ad,
+void Avx512MatmulTransARows(const float* __restrict ad,
                                const float* __restrict bd,
                                float* __restrict od, int64_t k, int64_t n,
                                int64_t m, int64_t r0, int64_t r1) {
@@ -420,7 +424,7 @@ namespace {
 /// fixed-shape _mm512_reduce_add_ps, scalar remainder last. The f32
 /// trans-B determinism shape (chunk-invariant within this level,
 /// tolerance vs the f32 baseline).
-inline float DotAvx512F32(const float* __restrict a,
+inline float DotAvx512(const float* __restrict a,
                           const float* __restrict b, int64_t k) {
   __m512 acc = _mm512_setzero_ps();
   int64_t p = 0;
@@ -435,13 +439,13 @@ inline float DotAvx512F32(const float* __restrict a,
 
 }  // namespace
 
-void Avx512MatmulTransBRowsF32(const float* __restrict ad,
+void Avx512MatmulTransBRows(const float* __restrict ad,
                                const float* __restrict bd,
                                float* __restrict od, int64_t k, int64_t m,
                                int64_t r0, int64_t r1) {
   // f32 blocked panel, same shape as the f64 kernel above: 2 A rows x
   // 4 B rows share one ascending-p FMA pass; each element runs exactly
-  // DotAvx512F32's operation sequence.
+  // DotAvx512's operation sequence.
   int64_t i = r0;
   for (; i + 2 <= r1; i += 2) {
     const float* a0 = ad + i * k;
@@ -495,15 +499,15 @@ void Avx512MatmulTransBRowsF32(const float* __restrict ad,
     }
     for (; j < m; ++j) {
       const float* brow = bd + j * k;
-      o0[j] += DotAvx512F32(a0, brow, k);
-      o1[j] += DotAvx512F32(a1, brow, k);
+      o0[j] += DotAvx512(a0, brow, k);
+      o1[j] += DotAvx512(a1, brow, k);
     }
   }
   for (; i < r1; ++i) {
     const float* arow = ad + i * k;
     float* orow = od + i * m;
     for (int64_t j = 0; j < m; ++j) {
-      orow[j] += DotAvx512F32(arow, bd + j * k, k);
+      orow[j] += DotAvx512(arow, bd + j * k, k);
     }
   }
 }

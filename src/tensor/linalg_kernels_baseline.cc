@@ -166,61 +166,55 @@ void BaselineBlockCrossFwdGeneric(const double* ad, int64_t acols,
   }
 }
 
+namespace {
+
 // The hot kernels keep __restrict parameters rather than lambda
 // captures: stores through a pointer captured in a closure could alias
 // the closure itself, which blocks vectorization and register-caching
-// of the loop state.
+// of the loop state. The three matmul kernels are type-generic: the
+// f64 and f32 tables run the same loop shapes, which is what makes
+// each tier's Matmul / MatmulTransA bitwise invariant across ISA
+// levels (tensor/kernels.h).
 
-#define SBRL_MATMUL_ROWS_KERNEL_NAME BaselineMatmulRows
 #include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
 
-// The f32 matmul tile kernel reuses the shared source with the scalar
-// type switched to float — the identical chain structure is what makes
-// the f32 tier bitwise invariant across ISA levels (tensor/kernels.h).
-#define SBRL_MATMUL_ROWS_KERNEL_NAME BaselineMatmulRowsF32
-#define SBRL_MATMUL_ROWS_KERNEL_TYPE float
-#include "tensor/matmul_rows_kernel.inc"
-#undef SBRL_MATMUL_ROWS_KERNEL_TYPE
-#undef SBRL_MATMUL_ROWS_KERNEL_NAME
-
-void BaselineMatmulTransARows(const double* __restrict ad,
-                              const double* __restrict bd,
-                              double* __restrict od, int64_t k, int64_t n,
-                              int64_t m, int64_t r0, int64_t r1) {
+template <typename T>
+void MatmulTransARowsKernel(const T* __restrict ad, const T* __restrict bd,
+                            T* __restrict od, int64_t k, int64_t n, int64_t m,
+                            int64_t r0, int64_t r1) {
   // The reduction index p stays outermost and ascending for every
   // element.
   for (int64_t p = 0; p < k; ++p) {
-    const double* acol = ad + p * n;
-    const double* brow = bd + p * m;
+    const T* acol = ad + p * n;
+    const T* brow = bd + p * m;
     for (int64_t i = r0; i < r1; ++i) {
-      const double av = acol[i];
-      double* orow = od + i * m;
+      const T av = acol[i];
+      T* orow = od + i * m;
       for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
     }
   }
 }
 
-void BaselineMatmulTransBRows(const double* __restrict ad,
-                              const double* __restrict bd,
-                              double* __restrict od, int64_t k, int64_t m,
-                              int64_t r0, int64_t r1) {
+template <typename T>
+void MatmulTransBRowsKernel(const T* __restrict ad, const T* __restrict bd,
+                            T* __restrict od, int64_t k, int64_t m,
+                            int64_t r0, int64_t r1) {
   // 2x2 micro-kernel: each loaded A/B row segment feeds two dot
   // products; accumulators are per-element, k ascending.
   int64_t i = r0;
   for (; i + 2 <= r1; i += 2) {
-    const double* a0 = ad + i * k;
-    const double* a1 = a0 + k;
-    double* o0 = od + i * m;
-    double* o1 = o0 + m;
+    const T* a0 = ad + i * k;
+    const T* a1 = a0 + k;
+    T* o0 = od + i * m;
+    T* o1 = o0 + m;
     int64_t j = 0;
     for (; j + 2 <= m; j += 2) {
-      const double* b0 = bd + j * k;
-      const double* b1 = b0 + k;
-      double acc00 = 0.0, acc01 = 0.0, acc10 = 0.0, acc11 = 0.0;
+      const T* b0 = bd + j * k;
+      const T* b1 = b0 + k;
+      T acc00 = T(0), acc01 = T(0), acc10 = T(0), acc11 = T(0);
       for (int64_t p = 0; p < k; ++p) {
-        const double a0p = a0[p], a1p = a1[p];
-        const double b0p = b0[p], b1p = b1[p];
+        const T a0p = a0[p], a1p = a1[p];
+        const T b0p = b0[p], b1p = b1[p];
         acc00 += a0p * b0p;
         acc01 += a0p * b1p;
         acc10 += a1p * b0p;
@@ -232,8 +226,8 @@ void BaselineMatmulTransBRows(const double* __restrict ad,
       o1[j + 1] += acc11;
     }
     for (; j < m; ++j) {
-      const double* brow = bd + j * k;
-      double acc0 = 0.0, acc1 = 0.0;
+      const T* brow = bd + j * k;
+      T acc0 = T(0), acc1 = T(0);
       for (int64_t p = 0; p < k; ++p) {
         acc0 += a0[p] * brow[p];
         acc1 += a1[p] * brow[p];
@@ -243,91 +237,49 @@ void BaselineMatmulTransBRows(const double* __restrict ad,
     }
   }
   for (; i < r1; ++i) {
-    const double* arow = ad + i * k;
-    double* orow = od + i * m;
+    const T* arow = ad + i * k;
+    T* orow = od + i * m;
     for (int64_t j = 0; j < m; ++j) {
-      const double* brow = bd + j * k;
-      double acc = 0.0;
+      const T* brow = bd + j * k;
+      T acc = T(0);
       for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
       orow[j] += acc;
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// f32 tier: the f64 baseline loop shapes restated on floats. These are
-// the bitwise anchors of the f32 tier's cross-ISA contract, exactly as
-// the f64 kernels above anchor theirs.
-// ---------------------------------------------------------------------------
+}  // namespace
 
-void BaselineMatmulTransARowsF32(const float* __restrict ad,
-                                 const float* __restrict bd,
-                                 float* __restrict od, int64_t k, int64_t n,
-                                 int64_t m, int64_t r0, int64_t r1) {
-  // Same structure as BaselineMatmulTransARows: the reduction index p
-  // stays outermost and ascending for every element.
-  for (int64_t p = 0; p < k; ++p) {
-    const float* acol = ad + p * n;
-    const float* brow = bd + p * m;
-    for (int64_t i = r0; i < r1; ++i) {
-      const float av = acol[i];
-      float* orow = od + i * m;
-      for (int64_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-    }
-  }
+void BaselineMatmulRows(const double* a, const double* b, double* o,
+                        int64_t k, int64_t m, int64_t r0, int64_t r1) {
+  MatmulRowsKernel(a, b, o, k, m, r0, r1);
 }
 
-void BaselineMatmulTransBRowsF32(const float* __restrict ad,
-                                 const float* __restrict bd,
-                                 float* __restrict od, int64_t k, int64_t m,
-                                 int64_t r0, int64_t r1) {
-  // Same 2x2 micro-kernel as BaselineMatmulTransBRows: per-element
-  // accumulators, k ascending.
-  int64_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
-    const float* a0 = ad + i * k;
-    const float* a1 = a0 + k;
-    float* o0 = od + i * m;
-    float* o1 = o0 + m;
-    int64_t j = 0;
-    for (; j + 2 <= m; j += 2) {
-      const float* b0 = bd + j * k;
-      const float* b1 = b0 + k;
-      float acc00 = 0.0f, acc01 = 0.0f, acc10 = 0.0f, acc11 = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        const float a0p = a0[p], a1p = a1[p];
-        const float b0p = b0[p], b1p = b1[p];
-        acc00 += a0p * b0p;
-        acc01 += a0p * b1p;
-        acc10 += a1p * b0p;
-        acc11 += a1p * b1p;
-      }
-      o0[j] += acc00;
-      o0[j + 1] += acc01;
-      o1[j] += acc10;
-      o1[j + 1] += acc11;
-    }
-    for (; j < m; ++j) {
-      const float* brow = bd + j * k;
-      float acc0 = 0.0f, acc1 = 0.0f;
-      for (int64_t p = 0; p < k; ++p) {
-        acc0 += a0[p] * brow[p];
-        acc1 += a1[p] * brow[p];
-      }
-      o0[j] += acc0;
-      o1[j] += acc1;
-    }
-  }
-  for (; i < r1; ++i) {
-    const float* arow = ad + i * k;
-    float* orow = od + i * m;
-    for (int64_t j = 0; j < m; ++j) {
-      const float* brow = bd + j * k;
-      float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] += acc;
-    }
-  }
+void BaselineMatmulRows(const float* a, const float* b, float* o, int64_t k,
+                        int64_t m, int64_t r0, int64_t r1) {
+  MatmulRowsKernel(a, b, o, k, m, r0, r1);
+}
+
+void BaselineMatmulTransARows(const double* a, const double* b, double* o,
+                              int64_t k, int64_t n, int64_t m, int64_t r0,
+                              int64_t r1) {
+  MatmulTransARowsKernel(a, b, o, k, n, m, r0, r1);
+}
+
+void BaselineMatmulTransARows(const float* a, const float* b, float* o,
+                              int64_t k, int64_t n, int64_t m, int64_t r0,
+                              int64_t r1) {
+  MatmulTransARowsKernel(a, b, o, k, n, m, r0, r1);
+}
+
+void BaselineMatmulTransBRows(const double* a, const double* b, double* o,
+                              int64_t k, int64_t m, int64_t r0, int64_t r1) {
+  MatmulTransBRowsKernel(a, b, o, k, m, r0, r1);
+}
+
+void BaselineMatmulTransBRows(const float* a, const float* b, float* o,
+                              int64_t k, int64_t m, int64_t r0, int64_t r1) {
+  MatmulTransBRowsKernel(a, b, o, k, m, r0, r1);
 }
 
 }  // namespace linalg_kernels

@@ -8,159 +8,153 @@
 
 namespace sbrl {
 
-Matrix Matrix::FromRows(
-    std::initializer_list<std::initializer_list<double>> rows) {
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::FromRows(
+    std::initializer_list<std::initializer_list<T>> rows) {
   int64_t n = static_cast<int64_t>(rows.size());
   int64_t m = n == 0 ? 0 : static_cast<int64_t>(rows.begin()->size());
-  Matrix out(n, m);
+  BasicMatrix out(n, m);
   int64_t r = 0;
   for (const auto& row : rows) {
     SBRL_CHECK_EQ(static_cast<int64_t>(row.size()), m)
         << "ragged rows in Matrix::FromRows";
     int64_t c = 0;
-    for (double v : row) out(r, c++) = v;
+    for (T v : row) out(r, c++) = v;
     ++r;
   }
   return out;
 }
 
-Matrix Matrix::ColumnVector(const std::vector<double>& values) {
-  Matrix out(static_cast<int64_t>(values.size()), 1);
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::ColumnVector(const std::vector<T>& values) {
+  BasicMatrix out(static_cast<int64_t>(values.size()), 1);
   std::copy(values.begin(), values.end(), out.data());
   return out;
 }
 
-Matrix Matrix::FromFlat(int64_t rows, int64_t cols,
-                        AlignedVector<double>&& values) {
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::FromFlat(int64_t rows, int64_t cols,
+                                        AlignedVector<T>&& values) {
   SBRL_CHECK_GE(rows, 0);
   SBRL_CHECK_GE(cols, 0);
   SBRL_CHECK_EQ(static_cast<int64_t>(values.size()), rows * cols);
-  Matrix out;
+  BasicMatrix out;
   out.rows_ = rows;
   out.cols_ = cols;
   out.data_ = std::move(values);
   return out;
 }
 
-Matrix Matrix::RowVector(const std::vector<double>& values) {
-  Matrix out(1, static_cast<int64_t>(values.size()));
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::RowVector(const std::vector<T>& values) {
+  BasicMatrix out(1, static_cast<int64_t>(values.size()));
   std::copy(values.begin(), values.end(), out.data());
   return out;
 }
 
-Matrix Matrix::Identity(int64_t n) {
-  Matrix out(n, n);
-  for (int64_t i = 0; i < n; ++i) out(i, i) = 1.0;
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::Identity(int64_t n) {
+  BasicMatrix out(n, n);
+  for (int64_t i = 0; i < n; ++i) out(i, i) = T(1);
   return out;
 }
 
-std::string Matrix::ShapeString() const {
+template <typename T>
+std::string BasicMatrix<T>::ShapeString() const {
   std::ostringstream os;
   os << "(" << rows_ << "x" << cols_ << ")";
   return os.str();
 }
 
-void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
+template <typename T>
+void BasicMatrix<T>::Fill(T v) { std::fill(data_.begin(), data_.end(), v); }
 
-void Matrix::ResetZero(int64_t rows, int64_t cols) {
+template <typename T>
+void BasicMatrix<T>::ResetZero(int64_t rows, int64_t cols) {
   SBRL_CHECK_GE(rows, 0);
   SBRL_CHECK_GE(cols, 0);
   rows_ = rows;
   cols_ = cols;
-  data_.assign(static_cast<size_t>(rows * cols), 0.0);
+  data_.assign(static_cast<size_t>(rows * cols), T(0));
 }
 
-void Matrix::ResetCopyOf(const Matrix& src) {
-  rows_ = src.rows_;
-  cols_ = src.cols_;
-  data_.assign(src.data_.begin(), src.data_.end());
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
+template <typename T>
+BasicMatrix<T>& BasicMatrix<T>::operator+=(const BasicMatrix& other) {
   SBRL_CHECK(same_shape(other))
       << ShapeString() << " vs " << other.ShapeString();
   for (int64_t i = 0; i < size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
-Matrix& Matrix::operator-=(const Matrix& other) {
+template <typename T>
+BasicMatrix<T>& BasicMatrix<T>::operator-=(const BasicMatrix& other) {
   SBRL_CHECK(same_shape(other))
       << ShapeString() << " vs " << other.ShapeString();
   for (int64_t i = 0; i < size(); ++i) data_[i] -= other.data_[i];
   return *this;
 }
 
-Matrix& Matrix::operator*=(double s) {
+template <typename T>
+BasicMatrix<T>& BasicMatrix<T>::operator*=(T s) {
   for (int64_t i = 0; i < size(); ++i) data_[i] *= s;
   return *this;
 }
 
-Matrix operator+(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out += b;
-  return out;
-}
-
-Matrix operator-(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out -= b;
-  return out;
-}
-
-Matrix operator*(const Matrix& a, double s) {
-  Matrix out = a;
-  out *= s;
-  return out;
-}
-
-Matrix operator*(double s, const Matrix& a) { return a * s; }
-
-double Matrix::Sum() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v;
+template <typename T>
+T BasicMatrix<T>::Sum() const {
+  T acc = T(0);
+  for (T v : data_) acc += v;
   return acc;
 }
 
-double Matrix::Mean() const {
+template <typename T>
+T BasicMatrix<T>::Mean() const {
   SBRL_CHECK_GT(size(), 0);
-  return Sum() / static_cast<double>(size());
+  return Sum() / static_cast<T>(size());
 }
 
-double Matrix::MaxValue() const {
+template <typename T>
+T BasicMatrix<T>::MaxValue() const {
   SBRL_CHECK_GT(size(), 0);
   return *std::max_element(data_.begin(), data_.end());
 }
 
-double Matrix::MinValue() const {
+template <typename T>
+T BasicMatrix<T>::MinValue() const {
   SBRL_CHECK_GT(size(), 0);
   return *std::min_element(data_.begin(), data_.end());
 }
 
-double Matrix::Norm() const {
-  double acc = 0.0;
-  for (double v : data_) acc += v * v;
+template <typename T>
+T BasicMatrix<T>::Norm() const {
+  T acc = T(0);
+  for (T v : data_) acc += v * v;
   return std::sqrt(acc);
 }
 
-Matrix Matrix::Col(int64_t c) const {
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::Col(int64_t c) const {
   SBRL_CHECK(c >= 0 && c < cols_);
-  Matrix out(rows_, 1);
+  BasicMatrix out(rows_, 1);
   for (int64_t r = 0; r < rows_; ++r) out(r, 0) = (*this)(r, c);
   return out;
 }
 
-Matrix Matrix::Row(int64_t r) const {
+template <typename T>
+BasicMatrix<T> BasicMatrix<T>::Row(int64_t r) const {
   SBRL_CHECK(r >= 0 && r < rows_);
-  Matrix out(1, cols_);
+  BasicMatrix out(1, cols_);
   for (int64_t c = 0; c < cols_; ++c) out(0, c) = (*this)(r, c);
   return out;
 }
 
-std::vector<double> Matrix::ToVector() const {
-  return std::vector<double>(data_.begin(), data_.end());
+template <typename T>
+std::vector<T> BasicMatrix<T>::ToVector() const {
+  return std::vector<T>(data_.begin(), data_.end());
 }
 
-std::string Matrix::ToString(int max_rows, int max_cols) const {
+template <typename T>
+std::string BasicMatrix<T>::ToString(int max_rows, int max_cols) const {
   std::ostringstream os;
   os << "Matrix" << ShapeString() << " [\n";
   int64_t show_r = std::min<int64_t>(rows_, max_rows);
@@ -179,12 +173,21 @@ std::string Matrix::ToString(int max_rows, int max_cols) const {
   return os.str();
 }
 
-bool AllClose(const Matrix& a, const Matrix& b, double tol) {
+template <typename T>
+bool AllClose(const BasicMatrix<T>& a, const BasicMatrix<T>& b, double tol) {
   if (!a.same_shape(b)) return false;
   for (int64_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) > tol) return false;
+    if (std::abs(static_cast<double>(a[i]) - static_cast<double>(b[i])) >
+        tol) {
+      return false;
+    }
   }
   return true;
 }
+
+template class BasicMatrix<double>;
+template class BasicMatrix<float>;
+template bool AllClose(const Matrix&, const Matrix&, double);
+template bool AllClose(const MatrixF32&, const MatrixF32&, double);
 
 }  // namespace sbrl

@@ -4,7 +4,6 @@
 
 #include "common/aligned.h"
 #include "tensor/linalg.h"
-#include "tensor/matrix_f32.h"
 #include "tensor/pool.h"
 #include "tensor/random.h"
 
@@ -109,64 +108,69 @@ TEST(MatrixTest, AllCloseDetectsDifferences) {
   EXPECT_FALSE(AllClose(a, c, 1.0));  // shape mismatch
 }
 
+// The storage contract of BasicMatrix holds for both element widths:
+// every typed case below runs the same assertions on Matrix (double)
+// and MatrixF32 (float).
+template <typename T>
+class BasicMatrixTest : public ::testing::Test {};
+using ElementTypes = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(BasicMatrixTest, ElementTypes);
+
 // Alignment contract (common/aligned.h): every backing allocation —
-// plain-constructed, FromFlat-adopted, pool-recycled, and the f32
-// tier — starts on a 64-byte boundary so AVX-512 loads from data()
-// hit aligned paths on both element widths.
-TEST(MatrixTest, BackingStorageIs64ByteAligned) {
+// plain-constructed and FromFlat-adopted — starts on a 64-byte
+// boundary so AVX-512 loads from data() hit aligned paths on both
+// element widths.
+TYPED_TEST(BasicMatrixTest, BackingStorageIs64ByteAligned) {
+  using M = BasicMatrix<TypeParam>;
   // Odd shapes so alignment cannot fall out of size rounding.
-  Matrix plain(7, 5);
+  M plain(7, 5);
   EXPECT_TRUE(IsTensorAligned(plain.data()));
+  M other(9, 3);
+  EXPECT_TRUE(IsTensorAligned(other.data()));
 
-  AlignedVector<double> flat(21, 1.5);
-  Matrix adopted = Matrix::FromFlat(3, 7, std::move(flat));
+  AlignedVector<TypeParam> flat(21, TypeParam(1.5));
+  M adopted = M::FromFlat(3, 7, std::move(flat));
   EXPECT_TRUE(IsTensorAligned(adopted.data()));
+}
 
-  MatrixF32 f32(9, 3);
-  EXPECT_TRUE(IsTensorAligned(f32.data()));
-
+// Pool-recycled buffers stay aligned through the free list (MatrixPool
+// recycles Matrix only: the pools are f64 by type).
+TEST(MatrixTest, PoolRecycledStorageIs64ByteAligned) {
   MatrixPool pool;
   Matrix pooled = pool.AcquireZero(11, 3);
   EXPECT_TRUE(IsTensorAligned(pooled.data()));
   pool.Release(std::move(pooled));
-  // A recycled buffer must stay aligned through the free list.
   Matrix recycled = pool.AcquireZero(5, 5);
   EXPECT_TRUE(IsTensorAligned(recycled.data()));
 }
 
-// Capacity survives shrinking Resets on both tiers — the invariant
-// MatrixPool keys its free list on.
-TEST(MatrixTest, CapacitySurvivesShrinkingReset) {
-  Matrix m(16, 16);
+// Capacity survives shrinking Resets — the invariant MatrixPool keys
+// its free list on, and the f32 staging wave's storage reuse.
+TYPED_TEST(BasicMatrixTest, CapacitySurvivesShrinkingReset) {
+  BasicMatrix<TypeParam> m(16, 16);
   const int64_t cap = m.capacity();
   EXPECT_GE(cap, m.size());
   m.ResetZero(4, 4);
   EXPECT_GE(m.capacity(), cap);
   EXPECT_TRUE(IsTensorAligned(m.data()));
-
-  MatrixF32 f(16, 16);
-  const int64_t fcap = f.capacity();
-  EXPECT_GE(fcap, f.size());
-  f.ResetZero(4, 4);
-  EXPECT_GE(f.capacity(), fcap);
-  EXPECT_TRUE(IsTensorAligned(f.data()));
 }
 
-TEST(MatrixF32Test, NarrowWidenRoundTrip) {
+TYPED_TEST(BasicMatrixTest, CastRoundTrip) {
   Matrix src = Matrix::FromRows({{1.5, -2.25}, {0.0, 3.0}});
-  MatrixF32 narrow = MatrixF32::FromF64(src);
-  EXPECT_EQ(narrow.rows(), 2);
-  EXPECT_EQ(narrow.cols(), 2);
+  BasicMatrix<TypeParam> cast = MatrixCast<TypeParam>(src);
+  EXPECT_EQ(cast.rows(), 2);
+  EXPECT_EQ(cast.cols(), 2);
   // These values are exactly representable in float, so the round
   // trip is lossless.
-  Matrix wide = narrow.ToF64();
+  Matrix wide = MatrixCast<double>(cast);
   EXPECT_TRUE(AllClose(src, wide, 0.0));
 
-  // ResetNarrowOf reuses storage and rounds to nearest float.
+  // ResetCopyOf reuses storage and rounds to the nearest element
+  // (1.0f for float: the 1e-12 is below half an f32 ulp).
   Matrix fine = Matrix::FromRows({{1.0 + 1e-12}});
-  narrow.ResetNarrowOf(fine);
-  EXPECT_EQ(narrow.rows(), 1);
-  EXPECT_FLOAT_EQ(narrow(0, 0), 1.0f);
+  cast.ResetCopyOf(fine);
+  EXPECT_EQ(cast.rows(), 1);
+  EXPECT_EQ(cast(0, 0), static_cast<TypeParam>(fine(0, 0)));
 }
 
 TEST(LinalgTest, MatmulSmall) {

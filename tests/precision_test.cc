@@ -11,6 +11,7 @@
 // ones).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -28,8 +29,6 @@
 #include "serve/serving_model.h"
 #include "stats/sharded.h"
 #include "tensor/linalg.h"
-#include "tensor/linalg_f32.h"
-#include "tensor/matrix_f32.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -117,34 +116,35 @@ TEST(PrecisionKernelTest, MatmulFamilyStaysInsideBudget) {
   // Odd sizes on purpose: every kernel's tail lanes are in play.
   const Matrix a = rng.Randn(37, 53);
   const Matrix b = rng.Randn(53, 19);
-  const MatrixF32 a32 = MatrixF32::FromF64(a);
-  const MatrixF32 b32 = MatrixF32::FromF64(b);
+  const MatrixF32 a32 = MatrixCast<float>(a);
+  const MatrixF32 b32 = MatrixCast<float>(b);
   const Matrix ref = Matmul(a, b);
 
-  EXPECT_LT(MaxAbsDiff(ref, MatmulF32(a32, b32).ToF64()), kMatmulBudget);
-  const MatrixF32 at32 = MatrixF32::FromF64(Transpose(a));
-  EXPECT_LT(MaxAbsDiff(ref, MatmulTransAF32(at32, b32).ToF64()),
+  EXPECT_LT(MaxAbsDiff(ref, MatrixCast<double>(Matmul(a32, b32))),
             kMatmulBudget);
-  const MatrixF32 bt32 = MatrixF32::FromF64(Transpose(b));
-  EXPECT_LT(MaxAbsDiff(ref, MatmulTransBF32(a32, bt32).ToF64()),
+  const MatrixF32 at32 = MatrixCast<float>(Transpose(a));
+  EXPECT_LT(MaxAbsDiff(ref, MatrixCast<double>(MatmulTransA(at32, b32))),
+            kMatmulBudget);
+  const MatrixF32 bt32 = MatrixCast<float>(Transpose(b));
+  EXPECT_LT(MaxAbsDiff(ref, MatrixCast<double>(MatmulTransB(a32, bt32))),
             kMatmulBudget);
 }
 
 TEST(PrecisionKernelTest, NarrowWidenRoundTripIsOneRounding) {
   Rng rng(502);
   const Matrix a = rng.Randn(17, 29);
-  const Matrix round_tripped = MatrixF32::FromF64(a).ToF64();
+  const Matrix round_tripped = MatrixCast<double>(MatrixCast<float>(a));
   EXPECT_LT(MaxAbsDiff(a, round_tripped), kNarrowBudget);
   // Widening the narrowed value back is exact: every f32 is an f64.
-  const MatrixF32 narrowed = MatrixF32::FromF64(round_tripped);
-  EXPECT_EQ(MaxAbsDiff(round_tripped, narrowed.ToF64()), 0.0);
+  const MatrixF32 narrowed = MatrixCast<float>(round_tripped);
+  EXPECT_EQ(MaxAbsDiff(round_tripped, MatrixCast<double>(narrowed)), 0.0);
 }
 
 TEST(PrecisionKernelTest, CosSweepF32StaysInsideBudget) {
   Rng rng(503);
   const int64_t n = 1000;  // crosses no block boundary; odd tail lanes
   const Matrix angles = rng.Randn(1, n);
-  MatrixF32 swept = MatrixF32::FromF64(angles);
+  MatrixF32 swept = MatrixCast<float>(angles);
   const float scale = static_cast<float>(std::sqrt(2.0));
   ScaledCosRowsF32InPlace(swept.data(), 1, n, n, scale,
                           CosineMode::kVectorized);
@@ -163,7 +163,7 @@ TEST(PrecisionKernelTest, EluSweepF32StaysInsideBudget) {
   x[0] = 0.0;  // the exp(x)-1 substitution's worst neighborhood
   x[1] = -1e-6;
   x[2] = 1e-6;
-  MatrixF32 swept = MatrixF32::FromF64(x);
+  MatrixF32 swept = MatrixCast<float>(x);
   EluF32InPlace(swept.data(), n);
   for (int64_t i = 0; i < n; ++i) {
     const double v = static_cast<double>(static_cast<float>(x[i]));
@@ -268,7 +268,7 @@ TEST(PrecisionStreamTest, NextBlockF32StagesNarrowedCovariates) {
   SyntheticBlockReader reader = fx.MakeReader();
   CausalDataset stage;
   CausalBlockF32 block;
-  StatusOr<int64_t> rows = NextBlockF32(reader, 100, &stage, &block);
+  StatusOr<int64_t> rows = PullBlock(reader, 100, &stage, &block);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   ASSERT_EQ(*rows, 100);
   ASSERT_EQ(block.n(), 100);
@@ -287,8 +287,11 @@ TEST(PrecisionStreamTest, NextBlockF32StagesNarrowedCovariates) {
 // End to end: serving and eval metrics.
 // ---------------------------------------------------------------------
 
+// The process id keeps the file names of this suite's ctest variants
+// (plain, threads2, isa_baseline), which run concurrently, apart.
 std::string TestPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" +
+         name;
 }
 
 EstimatorConfig SmallConfig(const MethodSpec& spec, uint64_t seed) {

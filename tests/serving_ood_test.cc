@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,48 @@ TEST(ServingOodTest, MicroBatcherStampsRowVerdicts) {
   EXPECT_FALSE(batcher.ScoreRow(row).ood_flagged);
   for (int64_t c = 0; c < 4; ++c) row[static_cast<size_t>(c)] = shifted(0, c);
   EXPECT_TRUE(batcher.ScoreRow(row).ood_flagged);
+}
+
+// A non-finite feature is maximally OOD, never certified in
+// distribution: NaN used to vanish through the sliced metric's
+// std::max, so a batch with an all-NaN column scored a SMALLER distance
+// than a clean batch and was stamped level 0. Every gate — batch,
+// per-row, and the micro-batcher — must stamp level exactly 1.0.
+TEST(ServingOodTest, NonFiniteRequestsAreMaximallyOod) {
+  Rng rng(2);
+  StatusOr<OodLevelDetector> detector =
+      OodLevelDetector::Fit(rng.Randn(600, 4));
+  ASSERT_TRUE(detector.ok());
+  const ServingModel model = RoundTripModel(*detector, "nonfinite.model");
+
+  Matrix nan_column = rng.Randn(300, 4);
+  for (int64_t i = 0; i < nan_column.rows(); ++i) {
+    nan_column(i, 2) = std::numeric_limits<double>::quiet_NaN();
+  }
+  Matrix inf_row = rng.Randn(1, 4);
+  inf_row(0, 1) = std::numeric_limits<double>::infinity();
+
+  for (const Matrix* x : {&nan_column, &inf_row}) {
+    const ServingModel::BatchScore batch = model.Score(*x);
+    EXPECT_EQ(batch.ood_level, 1.0);
+    EXPECT_TRUE(batch.ood_flagged);
+    for (const ServingModel::RowScore& row : model.ScoreRows(*x)) {
+      EXPECT_EQ(row.ood_level, 1.0);
+      EXPECT_TRUE(row.ood_flagged);
+    }
+  }
+
+  MicroBatcher::Options options;
+  options.ood = true;
+  options.ood_threshold = 0.5;
+  MicroBatcher batcher(&model, options);
+  for (const Matrix* x : {&nan_column, &inf_row}) {
+    std::vector<double> row(4);
+    for (int64_t c = 0; c < 4; ++c) row[static_cast<size_t>(c)] = (*x)(0, c);
+    const ServingModel::RowScore scored = batcher.ScoreRow(row);
+    EXPECT_EQ(scored.ood_level, 1.0);
+    EXPECT_TRUE(scored.ood_flagged);
+  }
 }
 
 TEST(ServingOodTest, EstimatorExportCarriesFittedDetector) {
