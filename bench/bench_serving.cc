@@ -7,10 +7,16 @@
 // latency and sustained throughput at each client count into
 // BENCH_serving.json (directory overridable via SBRL_BENCH_JSON_DIR).
 //
+// Gate lanes: per-stage medians of one request row (row OOD gate,
+// ungated forward) and an ungated one-client micro-batcher lane next to
+// the gated ones; a perf guard CHECKs that the gated one-client p50 is
+// at most 2x the ungated one.
+//
 // Precision lanes: the same file is additionally loaded under the f32
 // tier (SBRL_PRECISION=f32) and both tiers are timed on DIRECT batch
-// scoring — the micro-batched p50 includes the batcher's linger
-// window, so the tier comparison must not go through it. A smoke
+// scoring — the micro-batched p50 includes the queue hand-off and,
+// under concurrency, the batcher's linger window, so the tier
+// comparison must not go through it. A smoke
 // guard CHECKs that the f32 direct p50 beats f64.
 
 #include <algorithm>
@@ -93,6 +99,61 @@ std::vector<double> TimeDirectScoring(const serve::ServingModel& model,
     g_sink = g_sink + out[0];
   }
   return latencies;
+}
+
+/// Latencies (seconds, one per request), wall time and dispatched
+/// batches of micro-batched lanes.
+struct Lane {
+  std::vector<double> latencies;
+  double wall = 0.0;
+  int64_t batches = 0;
+};
+
+/// Drives one fresh MicroBatcher (row gating on or off) with `clients`
+/// threads of `requests` requests each, CHECKing every response bitwise
+/// against direct ScoreRows (`reference`, gated).
+Lane RunLane(const serve::ServingModel& model, const Matrix& queries,
+             const std::vector<serve::ServingModel::RowScore>& reference,
+             int64_t clients, int64_t requests, bool ood) {
+  serve::MicroBatcher::Options options;
+  options.ood = ood;
+  serve::MicroBatcher batcher(&model, options);
+  const int64_t dim = queries.cols();
+  std::vector<std::vector<double>> latencies(static_cast<size_t>(clients));
+  std::vector<std::thread> workers;
+  const auto start = Clock::now();
+  for (int64_t c = 0; c < clients; ++c) {
+    workers.emplace_back([&, c] {
+      std::vector<double>& mine = latencies[static_cast<size_t>(c)];
+      mine.reserve(static_cast<size_t>(requests));
+      std::vector<double> row(static_cast<size_t>(dim));
+      for (int64_t r = 0; r < requests; ++r) {
+        // Clients cycle through the query set at offset strides.
+        const int64_t q = (c * 131 + r) % queries.rows();
+        for (int64_t d = 0; d < dim; ++d) {
+          row[static_cast<size_t>(d)] = queries(q, d);
+        }
+        const auto sent = Clock::now();
+        const serve::ServingModel::RowScore score = batcher.ScoreRow(row);
+        mine.push_back(SecondsSince(sent));
+        // Coalescing must never change a bit of the answer.
+        const serve::ServingModel::RowScore& want =
+            reference[static_cast<size_t>(q)];
+        SBRL_CHECK(score.y0 == want.y0 && score.y1 == want.y1 &&
+                   (!ood || score.ood_level == want.ood_level))
+            << "micro-batched result diverged at query " << q;
+      }
+    });
+  }
+  for (std::thread& worker : workers) worker.join();
+  Lane lane;
+  lane.wall = SecondsSince(start);
+  batcher.Shutdown();
+  lane.batches = batcher.batches_dispatched();
+  for (const std::vector<double>& mine : latencies) {
+    lane.latencies.insert(lane.latencies.end(), mine.begin(), mine.end());
+  }
+  return lane;
 }
 
 int Main() {
@@ -215,67 +276,88 @@ int Main() {
         << "f32 serving p50 did not beat f64 (" << p50_32 << " vs "
         << p50_64 << " s)";
   }
-  TablePrinter table({"clients", "requests", "p50 us", "p99 us", "rows/sec",
-                      "batches"});
-  for (const int64_t clients : {1, 2, 4}) {
-    serve::MicroBatcher::Options options;
-    options.ood = true;
-    serve::MicroBatcher batcher(&*model, options);
-
-    std::vector<std::vector<double>> latencies(
-        static_cast<size_t>(clients));
-    std::vector<std::thread> workers;
-    const auto start = Clock::now();
-    for (int64_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        std::vector<double>& mine = latencies[static_cast<size_t>(c)];
-        mine.reserve(static_cast<size_t>(requests_per_client));
-        std::vector<double> row(static_cast<size_t>(dim));
-        for (int64_t r = 0; r < requests_per_client; ++r) {
-          // Clients cycle through the query set at offset strides.
-          const int64_t q = (c * 131 + r) % queries.rows();
-          for (int64_t d = 0; d < dim; ++d) row[static_cast<size_t>(d)] =
-              queries(q, d);
-          const auto sent = Clock::now();
-          const serve::ServingModel::RowScore score = batcher.ScoreRow(row);
-          mine.push_back(SecondsSince(sent));
-          // Coalescing must never change a bit of the answer.
-          const serve::ServingModel::RowScore& want =
-              reference[static_cast<size_t>(q)];
-          SBRL_CHECK(score.y0 == want.y0 && score.y1 == want.y1)
-              << "micro-batched result diverged at query " << q;
-        }
-      });
+  // ---- Per-stage medians of one request row: the row OOD gate and
+  // the ungated forward, each timed alone on every query row. ----
+  {
+    serve::ServingModel::ScoreOptions ungated;
+    ungated.ood = false;
+    std::vector<double> ood_s, forward_s;
+    Matrix row(1, dim);
+    for (int64_t q = 0; q < queries.rows(); ++q) {
+      for (int64_t d = 0; d < dim; ++d) row(0, d) = queries(q, d);
+      auto start = Clock::now();
+      const double level = model->RowOodLevel(row);
+      ood_s.push_back(SecondsSince(start));
+      SBRL_CHECK(level == reference[static_cast<size_t>(q)].ood_level)
+          << "RowOodLevel diverged from ScoreRows at query " << q;
+      start = Clock::now();
+      g_sink = g_sink + model->ScoreRows(row, ungated)[0].y0;
+      forward_s.push_back(SecondsSince(start));
     }
-    for (std::thread& worker : workers) worker.join();
-    const double wall = SecondsSince(start);
-    batcher.Shutdown();
+    std::sort(ood_s.begin(), ood_s.end());
+    std::sort(forward_s.begin(), forward_s.end());
+    const double ood_p50 = Quantile(ood_s, 0.50);
+    const double forward_p50 = Quantile(forward_s, 0.50);
+    json.Record("serving/stage/row_ood_p50", ood_p50);
+    json.Record("serving/stage/forward_row_p50", forward_p50);
+    std::cout << "per-row stages (p50): OOD gate " << ood_p50 * 1e6
+              << " us, forward " << forward_p50 * 1e6 << " us\n";
+  }
 
-    std::vector<double> all;
-    for (const std::vector<double>& mine : latencies) {
-      all.insert(all.end(), mine.begin(), mine.end());
-    }
-    std::sort(all.begin(), all.end());
-    const double p50 = Quantile(all, 0.50);
-    const double p99 = Quantile(all, 0.99);
-    const double total_rows =
-        static_cast<double>(clients * requests_per_client);
-    const double throughput = total_rows / wall;
-
-    const std::string prefix = "serving/clients=" + std::to_string(clients);
+  // ---- Micro-batched lanes: gated at 1/2/4 clients, plus an ungated
+  // one-client lane that prices the gate inside the served request.
+  // The two one-client lanes alternate over kOneClientRounds rounds, so
+  // drifting host contention hits both alike, and pool their rounds. ----
+  constexpr int kOneClientRounds = 5;
+  TablePrinter table({"clients", "gate", "requests", "p50 us", "p99 us",
+                      "rows/sec", "batches"});
+  auto report = [&](int64_t clients, bool ood, Lane lane) {
+    std::sort(lane.latencies.begin(), lane.latencies.end());
+    const double p50 = Quantile(lane.latencies, 0.50);
+    const double p99 = Quantile(lane.latencies, 0.99);
+    const double throughput =
+        static_cast<double>(lane.latencies.size()) / lane.wall;
+    const std::string prefix = "serving/clients=" + std::to_string(clients) +
+                               (ood ? "" : "_ungated");
     json.Record(prefix + "/p50", p50);
     json.Record(prefix + "/p99", p99);
-    json.Record(prefix + "/wall", wall);
+    json.Record(prefix + "/wall", lane.wall);
     json.Record(prefix + "/rows_per_sec", throughput);
-    table.AddRow({std::to_string(clients),
-                  std::to_string(clients * requests_per_client),
+    table.AddRow({std::to_string(clients), ood ? "row" : "off",
+                  std::to_string(lane.latencies.size()),
                   FormatDouble(p50 * 1e6, 1), FormatDouble(p99 * 1e6, 1),
                   FormatDouble(throughput, 0),
-                  std::to_string(batcher.batches_dispatched())});
+                  std::to_string(lane.batches)});
+    return p50;
+  };
+  Lane ungated1, gated1;
+  for (int round = 0; round < kOneClientRounds; ++round) {
+    for (const bool ood : {false, true}) {
+      const Lane lane = RunLane(*model, queries, reference, /*clients=*/1,
+                                requests_per_client, ood);
+      Lane& pooled = ood ? gated1 : ungated1;
+      pooled.latencies.insert(pooled.latencies.end(), lane.latencies.begin(),
+                              lane.latencies.end());
+      pooled.wall += lane.wall;
+      pooled.batches += lane.batches;
+    }
+  }
+  const double ungated1_p50 = report(1, false, std::move(ungated1));
+  const double gated1_p50 = report(1, true, std::move(gated1));
+  for (const int64_t clients : {2, 4}) {
+    report(clients, true,
+           RunLane(*model, queries, reference, clients, requests_per_client,
+                   /*ood=*/true));
   }
   table.Print(std::cout);
   std::cout << "\nEvery micro-batched response was bitwise identical to "
                "direct scoring (verified per request).\n";
+  // The gate's perf guard: per-row OOD gating must cost about as much
+  // as the forward it guards, so a gated lone client may be at most 2x
+  // slower than an ungated one.
+  SBRL_CHECK_LE(gated1_p50, 2.0 * ungated1_p50)
+      << "gated 1-client p50 " << gated1_p50 * 1e6
+      << " us exceeds 2x the ungated " << ungated1_p50 * 1e6 << " us";
   std::cerr << "wrote " << json.WriteOrDie() << "\n";
   return 0;
 }

@@ -24,11 +24,13 @@
 // batching" / "Vectorized RFF cosine" / "Fused network step".
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <string>
 
 #include "common/timer.h"
 #include "core/checkpoint.h"
@@ -135,7 +137,10 @@ void CheckpointIo(benchmark::State& state) {
   IhdpConfig data_config;
   RealWorldSplits splits = MakeIhdpReplication(data_config, 111);
   const MethodSpec spec{BackboneKind::kCfr, FrameworkKind::kSbrlHap};
-  const std::string path = "bench_table6_checkpoint.ckpt.tmp";
+  // The process id keeps this file apart from the concurrently run
+  // ctest twin's (bench_table6_smoke_guard_threads2).
+  const std::string path = "bench_table6_checkpoint_" +
+                           std::to_string(::getpid()) + ".ckpt.tmp";
   for (auto _ : state) {
     EstimatorConfig config = WithMethod(BaseConfig(scale, 112), spec);
     config.train.eval_every = 0;

@@ -4,8 +4,8 @@
 # faults, serving, large_n, and precision variants) and the
 # benchmark's build + self-test (perfbench/run.py --selftest), then the
 # sanitizer subset (now including the CSV/streaming loader suites)
-# plus the fault drills, serving format suite, and precision-tier
-# suite under asan/ubsan, and the ThreadSanitizer subset (which
+# plus the fault drills, serving format and OOD-gate suites, and
+# precision-tier suite under asan/ubsan, and the ThreadSanitizer subset (which
 # includes the serving micro-batcher concurrency suite). Mirrors the ROADMAP verify line;
 # .github/workflows/ci.yml calls this script, and it runs unchanged on
 # any box with cmake + gcc/clang + gtest (google-benchmark and doxygen
@@ -57,7 +57,9 @@ ctest --test-dir "${PREFIX}-sanitize" -L sanitize --output-on-failure \
 ctest --test-dir "${PREFIX}-sanitize" -L faults --output-on-failure \
       -j "${JOBS}"
 # The serving format suite rides along sanitized for the same reason
-# (serve/write + serve/read fault sites over raw byte buffers).
+# (serve/write + serve/read fault sites over raw byte buffers), and the
+# OOD-gate suite for the row gate's slice-table searches (rank 0 / n,
+# the padded last block, the prefix-sum tail).
 ctest --test-dir "${PREFIX}-sanitize" -L serving --output-on-failure \
       -j "${JOBS}"
 # The f32 tier's kernels under asan/ubsan: the wide kernels' tail

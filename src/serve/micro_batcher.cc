@@ -64,15 +64,20 @@ void MicroBatcher::Shutdown() {
 
 void MicroBatcher::DispatchLoop() {
   std::unique_lock<std::mutex> lock(mu_);
+  int64_t last_take = 0;
   for (;;) {
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) {
       if (stop_) return;
       continue;
     }
-    // Linger for a fuller batch, but never once shutdown began — the
-    // drain should be prompt — and never past the wait budget.
-    if (!stop_ && max_wait_us_ > 0 &&
+    // Linger for a fuller batch only under concurrency — more than one
+    // request queued, or the previous dispatch coalesced several rows —
+    // so a lone client never waits for partners that are not coming.
+    // Never once shutdown began (the drain should be prompt) and never
+    // past the wait budget.
+    const bool concurrent = queue_.size() > 1 || last_take > 1;
+    if (!stop_ && max_wait_us_ > 0 && concurrent &&
         static_cast<int64_t>(queue_.size()) < max_batch_) {
       const auto deadline = std::chrono::steady_clock::now() +
                             std::chrono::microseconds(max_wait_us_);
@@ -88,6 +93,7 @@ void MicroBatcher::DispatchLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    last_take = take;
     lock.unlock();
 
     Matrix x(take, model_->input_dim());

@@ -18,8 +18,14 @@ namespace serve {
 /// Coalesces concurrent single-row scoring requests into batched
 /// forward passes over one shared ServingModel. Client threads block
 /// in ScoreRow until their row is scored; a dedicated dispatcher
-/// thread drains the queue, optionally lingering up to max_wait for a
-/// fuller batch, and runs one batched forward per dispatch.
+/// thread drains the queue and runs one batched forward per dispatch.
+///
+/// Linger rule: the dispatcher waits up to max_wait for a fuller batch
+/// only under concurrency — when more than one request is queued or
+/// the previous dispatch coalesced more than one row. A lone client's
+/// request (one queued, previous batch of one) dispatches at once, so
+/// an idle server adds no linger to its latency; max_wait stays the
+/// upper bound whenever the dispatcher does linger.
 ///
 /// Determinism contract: because each ServingModel output row depends
 /// only on its input row (and per-row OOD stamps are computed
@@ -40,7 +46,8 @@ class MicroBatcher {
     /// SBRL_SERVE_MAX_BATCH, then defaults to 32.
     int64_t max_batch = 0;
     /// Linger budget (microseconds) the dispatcher may wait for a
-    /// fuller batch after the first pending request; < 0 resolves via
+    /// fuller batch after the first pending request, under the linger
+    /// rule in the class comment; < 0 resolves via
     /// SBRL_SERVE_MAX_WAIT_US, then defaults to 200. 0 dispatches
     /// whatever is queued immediately.
     int64_t max_wait_us = -1;

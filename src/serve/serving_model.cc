@@ -168,7 +168,8 @@ StatusOr<ServingModel> ServingModel::FromData(ServingModelData data) {
     // to the full source is large even in distribution (a point mass
     // never looks like a population), so per-row gating needs its own
     // null. Deterministic stride sample of source rows, each measured
-    // against the source like a one-row request would be.
+    // against the source like a one-row request would be (through the
+    // detector's point path, as requests are).
     const Matrix& source = data.ood.source;
     const int64_t n = source.rows();
     const int64_t k = std::min<int64_t>(64, n);

@@ -66,8 +66,9 @@ class ServingModel {
   /// Builds a scorer from decoded model data, resolving every tensor
   /// name against the meta's architecture and shape-checking it.
   /// Returns InvalidArgument on a missing tensor, a shape mismatch, or
-  /// invalid OOD state. When a detector rides along, its row-level
-  /// null distances are calibrated here (see RowOodLevel).
+  /// invalid OOD state. When a detector rides along, its slice table
+  /// is built and its row-level null distances are calibrated here
+  /// through the detector's point path (see RowOodLevel).
   static StatusOr<ServingModel> FromData(ServingModelData data);
 
   /// LoadServingModel + FromData in one step.
@@ -114,8 +115,12 @@ class ServingModel {
   /// renormalized against a null of single-source-row distances
   /// calibrated at load time (a one-row "population" sits at a
   /// point-mass distance from the source even in distribution, so the
-  /// batch-level null would flag everything). CHECK-fails without a
-  /// detector.
+  /// batch-level null would flag everything). Both the request and the
+  /// calibration go through the detector's point path — a binary
+  /// search per slice over its load-time sorted source values, within
+  /// 1e-12 relative of the full max-sliced metric and allocation-free
+  /// (see OodLevelDetector) — so the gate costs microseconds, about
+  /// what the forward it guards costs. CHECK-fails without a detector.
   double RowOodLevel(const Matrix& row) const;
 
   /// Population-level OOD level of `x` (OodLevelDetector::LevelOf).

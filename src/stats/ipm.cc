@@ -54,6 +54,20 @@ double WeightedRbfMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
   return mmd2 > 0.0 ? mmd2 : 0.0;  // guard numeric round-off
 }
 
+double SortedQuantileW1(const double* sorted_a, int64_t n,
+                        const double* sorted_b, int64_t m) {
+  const int64_t grid = std::max(n, m);
+  double w1 = 0.0;
+  for (int64_t g = 0; g < grid; ++g) {
+    const double q =
+        (static_cast<double>(g) + 0.5) / static_cast<double>(grid);
+    const double qa = sorted_a[static_cast<size_t>(q * static_cast<double>(n))];
+    const double qb = sorted_b[static_cast<size_t>(q * static_cast<double>(m))];
+    w1 += std::abs(qa - qb);
+  }
+  return w1 / static_cast<double>(grid);
+}
+
 namespace {
 
 /// W1 between the 1-D samples `pa`, `pb` via quantile coupling on a
@@ -63,16 +77,7 @@ double Projected1dW1(const Matrix& pa, const Matrix& pb) {
   std::vector<double> vb = pb.ToVector();
   std::sort(va.begin(), va.end());
   std::sort(vb.begin(), vb.end());
-  const int64_t grid = std::max<int64_t>(va.size(), vb.size());
-  double w1 = 0.0;
-  for (int64_t g = 0; g < grid; ++g) {
-    const double q =
-        (static_cast<double>(g) + 0.5) / static_cast<double>(grid);
-    const auto qa = va[static_cast<size_t>(q * static_cast<double>(va.size()))];
-    const auto qb = vb[static_cast<size_t>(q * static_cast<double>(vb.size()))];
-    w1 += std::abs(qa - qb);
-  }
-  return w1 / static_cast<double>(grid);
+  return SortedQuantileW1(va.data(), pa.size(), vb.data(), pb.size());
 }
 
 }  // namespace

@@ -34,6 +34,13 @@ double WeightedRbfMmd2(const Matrix& a, const Matrix& wa, const Matrix& b,
 double SlicedWasserstein1(const Matrix& a, const Matrix& b,
                           int64_t num_projections, Rng& rng);
 
+/// W1 between two ascending-sorted 1-D samples (n and m values) via
+/// quantile coupling on a common grid of max(n, m) quantiles — the
+/// per-slice kernel of both sliced metrics below, exposed so callers
+/// that keep one side pre-sorted reproduce them bit for bit.
+double SortedQuantileW1(const double* sorted_a, int64_t n,
+                        const double* sorted_b, int64_t m);
+
 /// Max-sliced 1-Wasserstein: the maximum projected W1 over the d
 /// coordinate axes plus `num_projections` random directions. Far more
 /// sensitive than the mean-sliced variant when only a few coordinates

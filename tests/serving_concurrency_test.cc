@@ -128,8 +128,10 @@ TEST(ServingConcurrencyTest, ShutdownDrainsQueuedRequests) {
       model.ScoreRows(queries);
 
   // A linger budget far beyond the test's lifetime and a batch larger
-  // than the request count: nothing dispatches until Shutdown, which
-  // must flush the whole queue in its drain.
+  // than the request count: once requests queue up together, the
+  // dispatcher lingers and nothing more dispatches until Shutdown,
+  // which must flush the whole queue in its drain (a request that
+  // finds the server idle is dispatched at once by the linger rule).
   MicroBatcher::Options options;
   options.max_batch = 64;
   options.max_wait_us = 10'000'000;
@@ -161,6 +163,37 @@ TEST(ServingConcurrencyTest, ShutdownDrainsQueuedRequests) {
     EXPECT_EQ(got[static_cast<size_t>(i)].y1,
               reference[static_cast<size_t>(i)].y1);
   }
+}
+
+TEST(ServingConcurrencyTest, LoneClientNeverLingers) {
+  const ServingModel model = MakeModel();
+  Rng rng(10);
+  const Matrix queries = rng.Randn(20, kDim);
+  const std::vector<ServingModel::RowScore> reference =
+      model.ScoreRows(queries);
+
+  // A one-second linger budget: one sequential client that paid it
+  // would take 20 s. The linger rule dispatches a lone request at
+  // once, one batch per request.
+  MicroBatcher::Options options;
+  options.max_wait_us = 1'000'000;
+  MicroBatcher batcher(&model, options);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<double> row(kDim);
+  for (int64_t i = 0; i < queries.rows(); ++i) {
+    for (int64_t d = 0; d < kDim; ++d) row[d] = queries(i, d);
+    const ServingModel::RowScore score = batcher.ScoreRow(row);
+    EXPECT_EQ(score.y0, reference[static_cast<size_t>(i)].y0);
+    EXPECT_EQ(score.y1, reference[static_cast<size_t>(i)].y1);
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 0.5);
+  // The dispatcher counts a batch after fulfilling its promises; the
+  // join makes the last count visible.
+  batcher.Shutdown();
+  EXPECT_EQ(batcher.batches_dispatched(), queries.rows());
 }
 
 TEST(ServingConcurrencyTest, EnvKnobsResolveWhenOptionsAreDefault) {

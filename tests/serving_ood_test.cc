@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -18,6 +19,7 @@
 #include "serve/micro_batcher.h"
 #include "serve/model_format.h"
 #include "serve/serving_model.h"
+#include "stats/ipm.h"
 #include "tensor/random.h"
 
 namespace sbrl {
@@ -225,6 +227,127 @@ TEST(ServingOodTest, NonFiniteRequestsAreMaximallyOod) {
     EXPECT_EQ(scored.ood_level, 1.0);
     EXPECT_TRUE(scored.ood_flagged);
   }
+}
+
+// The reference the detector's slice table must reproduce: augment by
+// the exported statistics, then the max-sliced metric with the
+// projection stream DistanceTo documents.
+Matrix OracleAugment(const OodLevelDetector::State& state, const Matrix& x) {
+  const int64_t d = x.cols();
+  Matrix out(x.rows(), d + static_cast<int64_t>(state.quad_pairs.size()));
+  for (int64_t r = 0; r < x.rows(); ++r) {
+    for (int64_t c = 0; c < d; ++c) {
+      out(r, c) = (x(r, c) - state.col_mean(0, c)) / state.col_std(0, c);
+    }
+    for (size_t q = 0; q < state.quad_pairs.size(); ++q) {
+      const auto& [i, j] = state.quad_pairs[q];
+      const int64_t c = d + static_cast<int64_t>(q);
+      out(r, c) =
+          (x(r, i) * x(r, j) - state.col_mean(0, c)) / state.col_std(0, c);
+    }
+  }
+  return out;
+}
+
+double OracleDistance(const OodLevelDetector::State& state,
+                      const Matrix& target) {
+  Rng proj_rng(state.options.seed + 999);
+  return MaxSlicedWasserstein1(OracleAugment(state, state.source),
+                               OracleAugment(state, target),
+                               state.options.projections, proj_rng);
+}
+
+Matrix RowOf(const Matrix& x, int64_t r) {
+  Matrix row(1, x.cols());
+  for (int64_t c = 0; c < x.cols(); ++c) row(0, c) = x(r, c);
+  return row;
+}
+
+// The one-row point path (binary search + coarse prefix sums over the
+// load-time sorted slices) against the full quantile-coupled metric:
+// only the summation order differs, so agreement is to 1e-12 relative.
+// Source sizes cover n < kPrefixStride (20), n a multiple of it (64),
+// and n with a partial last stride (75, 600); rows cover in- and
+// out-of-distribution points, points beyond every slice's extremes
+// (k = 0 and k = n), and every source row itself, whose values tie
+// with sorted entries on binary-search and stride boundaries.
+TEST(ServingOodTest, RowDistanceMatchesMaxSlicedOracle) {
+  for (const int64_t n : {20, 64, 75, 600}) {
+    Rng rng(static_cast<uint64_t>(40 + n));
+    const Matrix source = rng.Randn(n, 5);
+    StatusOr<OodLevelDetector> fitted = OodLevelDetector::Fit(source);
+    ASSERT_TRUE(fitted.ok());
+    const OodLevelDetector::State state = fitted->ExportState();
+    StatusOr<OodLevelDetector> reloaded = OodLevelDetector::FromState(state);
+    ASSERT_TRUE(reloaded.ok());
+
+    std::vector<Matrix> rows;
+    for (int64_t r = 0; r < n; r += n <= 75 ? 1 : 7) {
+      rows.push_back(RowOf(source, r));
+    }
+    for (int64_t i = 0; i < 6; ++i) {
+      rows.push_back(rng.Randn(1, 5));
+      rows.push_back(rng.Randn(1, 5, /*mean=*/3.0, /*stddev=*/1.0));
+      rows.push_back(rng.Randn(1, 5, /*mean=*/-8.0, /*stddev=*/2.0));
+    }
+    // Linear features far below every axis and quadratic ones far
+    // above, and the mirror image.
+    rows.push_back(Matrix(1, 5, -1e3));
+    rows.push_back(Matrix(1, 5, 1e3));
+
+    for (const Matrix& row : rows) {
+      const double want = OracleDistance(state, row);
+      ASSERT_TRUE(std::isfinite(want));
+      for (const OodLevelDetector* detector : {&*fitted, &*reloaded}) {
+        const double got = detector->DistanceTo(row);
+        EXPECT_LE(std::abs(got - want), 1e-12 * std::abs(want))
+            << "n=" << n << " got " << got << " want " << want;
+      }
+    }
+  }
+}
+
+// The batch path sorts only the target against the stored sorted
+// slices: bitwise equal to the oracle, distance and level alike.
+TEST(ServingOodTest, BatchLevelIsBitwiseEqualToMaxSlicedOracle) {
+  for (const int64_t n : {20, 75, 600}) {
+    Rng rng(static_cast<uint64_t>(90 + n));
+    StatusOr<OodLevelDetector> detector =
+        OodLevelDetector::Fit(rng.Randn(n, 5));
+    ASSERT_TRUE(detector.ok());
+    const OodLevelDetector::State state = detector->ExportState();
+    for (const int64_t m : {2, 31, 300}) {
+      for (const double shift : {0.0, 3.0}) {
+        const Matrix target = rng.Randn(m, 5, shift, 1.0);
+        const double want = OracleDistance(state, target);
+        EXPECT_EQ(detector->DistanceTo(target), want);
+        const double level =
+            1.0 - std::exp(-std::max(0.0, want - state.null_q95) /
+                           state.null_scale);
+        EXPECT_EQ(detector->LevelOf(target), level)
+            << "n=" << n << " m=" << m << " shift=" << shift;
+      }
+    }
+  }
+}
+
+// The slice table sorts the standardized source, so a non-finite
+// source value (a corrupted training matrix or model file) is rejected
+// at Fit and FromState instead of poisoning every later distance.
+TEST(ServingOodTest, NonFiniteSourceIsRejected) {
+  Rng rng(2);
+  Matrix source = rng.Randn(100, 4);
+  StatusOr<OodLevelDetector> fitted = OodLevelDetector::Fit(source);
+  ASSERT_TRUE(fitted.ok());
+  OodLevelDetector::State state = fitted->ExportState();
+
+  source(17, 1) = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(OodLevelDetector::Fit(source).ok());
+  state.source(3, 2) = std::numeric_limits<double>::infinity();
+  const StatusOr<OodLevelDetector> reloaded =
+      OodLevelDetector::FromState(state);
+  ASSERT_FALSE(reloaded.ok());
+  EXPECT_EQ(reloaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ServingOodTest, EstimatorExportCarriesFittedDetector) {

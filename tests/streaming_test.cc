@@ -7,6 +7,7 @@
 // equivalence of the streaming paths with their in-core references.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -26,6 +27,13 @@
 
 namespace sbrl {
 namespace {
+
+// The process id keeps the file names of this suite's ctest variants
+// (plain, threads2), which run concurrently, apart.
+std::string TestPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" +
+         name;
+}
 
 // ---------------------------------------------------------------------
 // FixedOrderTreeReducer: the bracketing is a pure function of count.
@@ -153,7 +161,7 @@ TEST(InMemoryBlockReaderTest, ServesExactRowRanges) {
 TEST(CsvBlockReaderTest, BlocksConcatBitwiseEqualToInCoreLoad) {
   const SyntheticModel model(SyntheticDims{}, 7);
   const CausalDataset data = model.SampleUnbiased(50, 4);
-  const std::string path = "/tmp/sbrl_streaming_blocks.csv";
+  const std::string path = TestPath("sbrl_streaming_blocks.csv");
   ASSERT_TRUE(SaveCausalDatasetCsv(data, path).ok());
   StatusOr<CausalDataset> incore = LoadCausalDatasetCsv(path);
   ASSERT_TRUE(incore.ok());
@@ -180,7 +188,7 @@ TEST(CsvBlockReaderTest, BlocksConcatBitwiseEqualToInCoreLoad) {
 }
 
 TEST(CsvBlockReaderTest, MalformedRowReportedMidStream) {
-  const std::string path = "/tmp/sbrl_streaming_bad.csv";
+  const std::string path = TestPath("sbrl_streaming_bad.csv");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";
@@ -389,7 +397,7 @@ TEST(ShardedTrainerTest, WorkerCountBitwiseInvariance) {
 TEST(ShardedTrainerTest, CsvStreamMatchesInCoreBitwise) {
   const SyntheticModel model(SyntheticDims{}, 7);
   const CausalDataset data = model.SampleUnbiased(150, 23);
-  const std::string path = "/tmp/sbrl_streaming_train.csv";
+  const std::string path = TestPath("sbrl_streaming_train.csv");
   ASSERT_TRUE(SaveCausalDatasetCsv(data, path).ok());
 
   ShardedTrainerConfig config = SmallTrainerConfig();
