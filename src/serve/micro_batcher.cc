@@ -64,26 +64,24 @@ void MicroBatcher::Shutdown() {
 
 void MicroBatcher::DispatchLoop() {
   std::unique_lock<std::mutex> lock(mu_);
-  int64_t last_take = 0;
+  int64_t last_take = 1;
   for (;;) {
     cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    // Linger for a fuller batch only under concurrency — more than one
-    // request queued, or the previous dispatch coalesced several rows —
-    // so a lone client never waits for partners that are not coming.
-    // Never once shutdown began (the drain should be prompt) and never
-    // past the wait budget.
-    const bool concurrent = queue_.size() > 1 || last_take > 1;
-    if (!stop_ && max_wait_us_ > 0 && concurrent &&
-        static_cast<int64_t>(queue_.size()) < max_batch_) {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(max_wait_us_);
-      cv_.wait_until(lock, deadline, [this] {
-        return stop_ || static_cast<int64_t>(queue_.size()) >= max_batch_;
-      });
+    if (queue_.empty()) return;  // stop_ with nothing left to drain
+    // Self-clocking linger: wait only until the queue holds as many
+    // rows as the previous dispatch took, since the clients it answered
+    // are the ones likely to resend. A lone client (target 1) never
+    // waits; c closed-loop clients dispatch as soon as all c have
+    // resent. Never once shutdown began and never past the budget.
+    const int64_t target = std::min(max_batch_, last_take);
+    const auto filled = [&] {
+      return stop_ || static_cast<int64_t>(queue_.size()) >= target;
+    };
+    if (max_wait_us_ > 0 && !filled()) {
+      cv_.wait_until(lock,
+                     std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(max_wait_us_),
+                     filled);
     }
     const int64_t take = std::min<int64_t>(
         max_batch_, static_cast<int64_t>(queue_.size()));

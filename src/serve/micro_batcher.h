@@ -20,12 +20,13 @@ namespace serve {
 /// in ScoreRow until their row is scored; a dedicated dispatcher
 /// thread drains the queue and runs one batched forward per dispatch.
 ///
-/// Linger rule: the dispatcher waits up to max_wait for a fuller batch
-/// only under concurrency — when more than one request is queued or
-/// the previous dispatch coalesced more than one row. A lone client's
-/// request (one queued, previous batch of one) dispatches at once, so
-/// an idle server adds no linger to its latency; max_wait stays the
-/// upper bound whenever the dispatcher does linger.
+/// Linger rule (self-clocking): the dispatcher lingers only while the
+/// queue holds fewer rows than the previous dispatch took (capped at
+/// max_batch), up to max_wait, and never once Shutdown starts. A lone
+/// client dispatches at once; c closed-loop clients dispatch as soon
+/// as all c have resent; rows that pile up during a forward are all
+/// taken, so the target rises with load. A full max_wait is paid only
+/// when concurrency drops (a client leaves), at most once per drop.
 ///
 /// Determinism contract: because each ServingModel output row depends
 /// only on its input row (and per-row OOD stamps are computed
@@ -45,11 +46,10 @@ class MicroBatcher {
     /// Rows coalesced per forward at most; <= 0 resolves via
     /// SBRL_SERVE_MAX_BATCH, then defaults to 32.
     int64_t max_batch = 0;
-    /// Linger budget (microseconds) the dispatcher may wait for a
-    /// fuller batch after the first pending request, under the linger
-    /// rule in the class comment; < 0 resolves via
-    /// SBRL_SERVE_MAX_WAIT_US, then defaults to 200. 0 dispatches
-    /// whatever is queued immediately.
+    /// Hard upper bound (microseconds) on one linger for a fuller
+    /// batch, under the self-clocking rule in the class comment; < 0
+    /// resolves via SBRL_SERVE_MAX_WAIT_US, then defaults to 200. 0
+    /// dispatches whatever is queued immediately.
     int64_t max_wait_us = -1;
     /// Stamp each response with the row-level OOD verdict (no-op when
     /// the model carries no detector).

@@ -7,6 +7,7 @@
 #include <limits>
 #include <locale>
 #include <numeric>
+#include <string>
 
 #include "data/causal_dataset.h"
 #include "data/csv.h"
@@ -20,6 +21,12 @@
 
 namespace sbrl {
 namespace {
+
+// Per-test scratch path: ::testing::TempDir() honours TEST_TMPDIR, which
+// the build gives every registered test its own directory for.
+std::string TestPath(const std::string& name) {
+  return ::testing::TempDir() + "/" + name;
+}
 
 CausalDataset TinyDataset() {
   CausalDataset d;
@@ -338,7 +345,7 @@ TEST(IhdpTest, EffectsAreHeterogeneous) {
 TEST(CsvTest, RoundTripPreservesEverything) {
   CausalDataset d = TinyDataset();
   d.binary_outcome = true;
-  const std::string path = "/tmp/sbrl_csv_roundtrip.csv";
+  const std::string path = TestPath("sbrl_csv_roundtrip.csv");
   ASSERT_TRUE(SaveCausalDatasetCsv(d, path).ok());
   auto loaded = LoadCausalDatasetCsv(path);
   ASSERT_TRUE(loaded.ok());
@@ -354,7 +361,7 @@ TEST(CsvTest, RoundTripPreservesEverything) {
 TEST(CsvTest, ContinuousFlagRoundTrips) {
   CausalDataset d = TinyDataset();
   d.binary_outcome = false;
-  const std::string path = "/tmp/sbrl_csv_cont.csv";
+  const std::string path = TestPath("sbrl_csv_cont.csv");
   ASSERT_TRUE(SaveCausalDatasetCsv(d, path).ok());
   auto loaded = LoadCausalDatasetCsv(path);
   ASSERT_TRUE(loaded.ok());
@@ -369,7 +376,7 @@ TEST(CsvTest, MissingFileReturnsNotFound) {
 }
 
 TEST(CsvTest, MalformedContentRejected) {
-  const std::string path = "/tmp/sbrl_csv_bad.csv";
+  const std::string path = TestPath("sbrl_csv_bad.csv");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";
@@ -382,7 +389,7 @@ TEST(CsvTest, MalformedContentRejected) {
 }
 
 TEST(CsvTest, NonFiniteFieldRejectedWithLineNumber) {
-  const std::string path = "/tmp/sbrl_csv_nonfinite.csv";
+  const std::string path = TestPath("sbrl_csv_nonfinite.csv");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";
@@ -400,7 +407,7 @@ TEST(CsvTest, NonFiniteFieldRejectedWithLineNumber) {
 }
 
 TEST(CsvTest, InfinityFieldRejected) {
-  const std::string path = "/tmp/sbrl_csv_inf.csv";
+  const std::string path = TestPath("sbrl_csv_inf.csv");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";
@@ -474,7 +481,7 @@ TEST(CsvTest, RoundTripSurvivesCommaDecimalLocale) {
   CausalDataset d = TinyDataset();
   d.x(0, 0) = 1.5;
   d.y(1, 0) = 0.25;
-  const std::string path = "/tmp/sbrl_csv_locale.csv";
+  const std::string path = TestPath("sbrl_csv_locale.csv");
   ASSERT_TRUE(SaveCausalDatasetCsv(d, path).ok());
   auto loaded = LoadCausalDatasetCsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -495,7 +502,7 @@ TEST(CsvTest, RandomRoundTripIsBitwise) {
   d.x(1, 0) = -9.87654321e250;
   d.x(2, 0) = std::numeric_limits<double>::denorm_min();
   d.x(3, 0) = std::numeric_limits<double>::max();
-  const std::string path = "/tmp/sbrl_csv_bitwise.csv";
+  const std::string path = TestPath("sbrl_csv_bitwise.csv");
   ASSERT_TRUE(SaveCausalDatasetCsv(d, path).ok());
   auto loaded = LoadCausalDatasetCsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -506,7 +513,7 @@ TEST(CsvTest, RandomRoundTripIsBitwise) {
 }
 
 TEST(CsvTest, OverflowingFieldRejected) {
-  const std::string path = "/tmp/sbrl_csv_overflow.csv";
+  const std::string path = TestPath("sbrl_csv_overflow.csv");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";
@@ -521,7 +528,7 @@ TEST(CsvTest, OverflowingFieldRejected) {
 }
 
 TEST(CsvTest, NonBinaryTreatmentRejected) {
-  const std::string path = "/tmp/sbrl_csv_badt.csv";
+  const std::string path = TestPath("sbrl_csv_badt.csv");
   {
     std::ofstream out(path);
     out << "x0,t,y,mu0,mu1\n";

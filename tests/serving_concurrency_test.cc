@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -123,38 +124,69 @@ TEST(ServingConcurrencyTest, ResultsBitwiseIndependentOfThreadsAndBatching) {
 TEST(ServingConcurrencyTest, ShutdownDrainsQueuedRequests) {
   const ServingModel model = MakeModel();
   Rng rng(9);
-  const Matrix queries = rng.Randn(8, kDim);
+  const Matrix queries = rng.Randn(3, kDim);
   const std::vector<ServingModel::RowScore> reference =
       model.ScoreRows(queries);
 
   // A linger budget far beyond the test's lifetime and a batch larger
-  // than the request count: once requests queue up together, the
-  // dispatcher lingers and nothing more dispatches until Shutdown,
-  // which must flush the whole queue in its drain (a request that
-  // finds the server idle is dispatched at once by the linger rule).
+  // than the request count. A first wave of two clients released
+  // together must coalesce into one two-row dispatch (retried on a
+  // fresh batcher until it does); the lone straggler that follows
+  // cannot reach that dispatch's size, so the dispatcher lingers on it
+  // and nothing more dispatches until Shutdown, which must flush it in
+  // its drain. A wave of two cannot strand its own second row: after a
+  // one-row dispatch the target is one.
   MicroBatcher::Options options;
   options.max_batch = 64;
   options.max_wait_us = 10'000'000;
-  MicroBatcher batcher(&model, options);
+  constexpr int64_t kWave = 2;
 
-  std::atomic<int64_t> entered{0};
+  std::unique_ptr<MicroBatcher> owner;
   std::vector<ServingModel::RowScore> got(
       static_cast<size_t>(queries.rows()));
-  std::vector<std::thread> clients;
-  for (int64_t i = 0; i < queries.rows(); ++i) {
-    clients.emplace_back([&, i] {
-      std::vector<double> row(kDim);
-      for (int64_t d = 0; d < kDim; ++d) row[d] = queries(i, d);
-      entered.fetch_add(1);
-      got[static_cast<size_t>(i)] = batcher.ScoreRow(row);
-    });
+  auto send = [&](int64_t i) {
+    std::vector<double> row(kDim);
+    for (int64_t d = 0; d < kDim; ++d) row[d] = queries(i, d);
+    got[static_cast<size_t>(i)] = owner->ScoreRow(row);
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (;;) {
+    ASSERT_TRUE(std::chrono::steady_clock::now() < give_up)
+        << "the first wave never coalesced";
+    // The wave spins before the batcher exists and is released right
+    // after its dispatcher thread is started, so both rows usually
+    // queue before the dispatcher first takes the lock.
+    std::atomic<bool> go{false};
+    std::vector<std::thread> wave;
+    for (int64_t i = 0; i < kWave; ++i) {
+      wave.emplace_back([&, i] {
+        while (!go.load()) std::this_thread::yield();
+        send(i);
+      });
+    }
+    owner = std::make_unique<MicroBatcher>(&model, options);
+    go.store(true);
+    for (std::thread& client : wave) client.join();
+    // The dispatcher counts a batch before its rows, after fulfilling
+    // the promises: once every row is counted, so is every batch.
+    while (owner->rows_scored() < kWave) std::this_thread::yield();
+    if (owner->batches_dispatched() == 1) break;
   }
-  while (entered.load() < queries.rows()) std::this_thread::yield();
-  // Give the last clients time to move from the counter into the
-  // queue before shutting down.
+
+  std::atomic<bool> entered{false};
+  std::thread straggler([&] {
+    entered.store(true);
+    send(kWave);
+  });
+  while (!entered.load()) std::this_thread::yield();
+  // Give the straggler time to move from the flag into the queue.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  MicroBatcher& batcher = *owner;
+  // The straggler is still queued, so the drain has work to do.
+  EXPECT_LT(batcher.rows_scored(), queries.rows());
   batcher.Shutdown();
-  for (std::thread& client : clients) client.join();
+  straggler.join();
 
   EXPECT_EQ(batcher.rows_scored(), queries.rows());
   for (int64_t i = 0; i < queries.rows(); ++i) {
@@ -194,6 +226,55 @@ TEST(ServingConcurrencyTest, LoneClientNeverLingers) {
   // join makes the last count visible.
   batcher.Shutdown();
   EXPECT_EQ(batcher.batches_dispatched(), queries.rows());
+}
+
+TEST(ServingConcurrencyTest, ClosedLoopClientsDoNotWaitOutTheBudget) {
+  const ServingModel model = MakeModel();
+  Rng rng(11);
+  const Matrix queries = rng.Randn(16, kDim);
+  const std::vector<ServingModel::RowScore> reference =
+      model.ScoreRows(queries);
+
+  // Three clients that each wait for their reply before resending: a
+  // linger that ran to the budget on every coalesced dispatch would
+  // take about kRequests budgets. The self-clocking rule dispatches as
+  // soon as all live clients have resent, so a full budget is paid only
+  // when a client leaves — at most once per client.
+  constexpr int64_t kClients = 3;
+  constexpr int64_t kRequests = 20;
+  constexpr int64_t kBudgetUs = 200'000;
+  MicroBatcher::Options options;
+  options.max_wait_us = kBudgetUs;
+  MicroBatcher batcher(&model, options);
+
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (int64_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      while (!go.load()) std::this_thread::yield();
+      std::vector<double> row(kDim);
+      for (int64_t r = 0; r < kRequests; ++r) {
+        const int64_t i = (c * 5 + r) % queries.rows();
+        for (int64_t d = 0; d < kDim; ++d) row[d] = queries(i, d);
+        const ServingModel::RowScore score = batcher.ScoreRow(row);
+        const ServingModel::RowScore& want = reference[static_cast<size_t>(i)];
+        EXPECT_EQ(score.y0, want.y0) << "client " << c << " request " << r;
+        EXPECT_EQ(score.y1, want.y1);
+        EXPECT_EQ(score.ite, want.ite);
+      }
+    });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true);
+  for (std::thread& client : clients) client.join();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  batcher.Shutdown();
+  EXPECT_EQ(batcher.rows_scored(), kClients * kRequests);
+  // One budget per departing client plus slack for a loaded host; the
+  // budget-bound rule needs about kRequests budgets.
+  EXPECT_LT(seconds, (kClients + 3) * kBudgetUs * 1e-6);
 }
 
 TEST(ServingConcurrencyTest, EnvKnobsResolveWhenOptionsAreDefault) {
